@@ -5,11 +5,7 @@ from .simplicial import (
     Cochain,
     Phase,
     StandardComplex,
-    boundary,
-    coboundary,
     dualize,
-    evaluate,
-    integrate,
 )
 
 __all__ = [
@@ -17,11 +13,7 @@ __all__ = [
     "Cochain",
     "Phase",
     "StandardComplex",
-    "boundary",
-    "coboundary",
     "dualize",
-    "evaluate",
-    "integrate",
 ]
 
 __version__ = "0.1.0"

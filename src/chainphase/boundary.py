@@ -116,12 +116,8 @@ def cylinder_theta(action: ActionFunctional, B: Cochain, h: Cochain,
             v += B.value(tuple(s[i] for i in base))
         if v:
             values[t] = v
-    G = Cochain(action.degree, values, 0)
-
-    total = 0
-    for cell, sign in cyl.top_cells:
-        total += sign * action.density(G, cell)
-    return Phase(-total if action.spacetime % 2 else total, action.divisor)
+    phase = action.integral(Cochain(action.degree, values, 0), cyl)
+    return -phase if action.spacetime % 2 else phase
 
 
 def modified_excitation_phase(action: ActionFunctional, b: Cochain,

@@ -20,9 +20,8 @@ import sys
 
 from . import fileio, process, search
 from .actions import ActionFunctional, action_names, get_action
-from .boundary import cylinder_theta, delta_on
 from .intmat import smith_invariant_factors
-from .operad import d_terms, p1_terms, phi_terms, psi
+from .operad import d_terms, p1_terms, psi
 from .simplicial import Chain, Cochain, Phase, StandardComplex
 
 BAD_INPUT = 2
@@ -146,8 +145,7 @@ def cmd_eval(args) -> int:
     payload = {
         "seed": seed, "action": action.name, "N": action.modulus,
         "D": action.spacetime, "steps": len(word),
-        "phase": _phase_obj(phase), "trace_ok": True,
-        "cancellation_ok": cancel.ok,
+        "phase": _phase_obj(phase), "cancellation_ok": cancel.ok,
     }
     _emit(payload, args.json, [
         f"seed: {seed}",
@@ -199,18 +197,19 @@ def cmd_trace(args) -> int:
     return 0 if not problems else 1
 
 
-def _parse_coeff(text: str) -> int:
+def _parse_modulus(text: str, noun: str) -> int:
+    """0 for Z, n for Z<n> with n >= 2; `noun` names the option."""
     if text == "Z":
         return 0
     if text.startswith("Z") and text[1:].isdigit() and int(text[1:]) >= 2:
         return int(text[1:])
-    raise InputError(f"coefficients must be Z or Z<n>, got {text!r}")
+    raise InputError(f"{noun} must be Z or Z<n>, got {text!r}")
 
 
 def cmd_check_cancel(args) -> int:
     seed = _resolve_seed(args)
     word = _load_word(args.process)
-    modulus = _parse_coeff(args.coeff)
+    modulus = _parse_modulus(args.coeff, "coefficients")
     report = process.check_cancellation(word, modulus=modulus)
     payload = {
         "seed": seed, "coeff": args.coeff, "steps": len(word),
@@ -257,39 +256,20 @@ def cmd_steenrod(args) -> int:
     return 0
 
 
-def _parse_group(text: str) -> int:
-    if text.startswith("Z") and text[1:].isdigit():
-        return int(text[1:])
-    if text == "Z":
-        return 0
-    raise InputError(f"fusion group must be Z or Z<n>, got {text!r}")
-
-
-def _lift_halved_expression(residual, model):
-    """The paper's final step: find an all-even residual row, halve it,
-    and rebuild a process word from the halved expression."""
-    for rid in sorted(residual.rows):
-        row = residual.rows[rid]
-        if all(v % 2 == 0 for v in row.values()):
-            halved = {col: v // 2 for col, v in row.items()}
-            try:
-                return search.reconstruct_process(halved, model)
-            except search.ReconstructError:
-                continue
-    return None
-
-
 def cmd_search(args) -> int:
     seed = _resolve_seed(args)
-    modulus = _parse_group(args.G)
+    modulus = _parse_modulus(args.G, "fusion group")
     try:
         model = search.build_model(modulus, args.p, args.d)
     except ValueError as exc:
         raise InputError(str(exc))
     if args.stretch_membrane:
-        result = search.legality_search(
-            model, attempts=args.attempts, checkpoint=args.checkpoint,
-            seed=seed, max_depth=args.depth)
+        try:
+            result = search.legality_search(
+                model, attempts=args.attempts, checkpoint=args.checkpoint,
+                seed=seed, max_depth=args.depth)
+        except ValueError as exc:
+            raise InputError(str(exc))
         payload = {"seed": seed, "mode": "legality",
                    "attempts": result["attempts"],
                    "successes": result["successes"]}
@@ -314,7 +294,7 @@ def cmd_search(args) -> int:
     ]
     word = None
     if factors and args.emit_process:
-        word = _lift_halved_expression(residual, model)
+        word = search.lift_halved_expression(residual, model)
         if word:
             text = "".join(
                 ("+ " if sign > 0 else "- ")
@@ -443,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attempts", type=int, default=1,
                    help="sign-function trials for the stretch scan")
     p.add_argument("--checkpoint", help="checkpoint file for the scan")
-    p.add_argument("--workers", type=int, default=1,
-                   help="reserved; trials run sequentially")
     p.add_argument("--emit-process", metavar="PATH",
                    help="write a reconstructed process word here")
     p.add_argument("--json", action="store_true")

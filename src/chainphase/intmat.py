@@ -53,14 +53,6 @@ class SparseIntMatrix:
         out._col_rows = {c: set(rids) for c, rids in self._col_rows.items()}
         return out
 
-    def has_unit_entry(self, allowed_cols=None) -> bool:
-        for c, rids in self._col_rows.items():
-            if allowed_cols is not None and c not in allowed_cols:
-                continue
-            if any(abs(self.rows[r][c]) == 1 for r in rids):
-                return True
-        return False
-
     def _remove_row(self, rid: int) -> dict:
         row = self.rows.pop(rid)
         for c in row:
@@ -230,15 +222,3 @@ def smith_invariant_factors(matrix) -> list[int]:
             break
     return factors
 
-
-def cokernel_torsion(matrix: SparseIntMatrix) -> list[int]:
-    """Invariant factors > 1 of coker(M): eliminate, then dense Smith.
-
-    The rows of M are relations on the free abelian group over M's
-    columns; unit pivots split off trivial factors, so only the small
-    residual needs the dense routine.
-    """
-    work = matrix.copy()
-    work.eliminate()
-    dense, _ = work.to_dense()
-    return [f for f in smith_invariant_factors(dense) if f > 1]

@@ -26,9 +26,6 @@ become degenerate at any step are dropped.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from math import factorial
-
-from .simplicial import Cochain, check_simplex
 
 
 def check_surjection(u) -> tuple[int, ...]:
@@ -178,21 +175,6 @@ def phi_terms(u, degrees):
     return terms
 
 
-def phi_apply(u, inputs, s) -> int:
-    """Evaluate phi(u)(inputs...) on the simplex s, as an integer lift."""
-    s = check_simplex(s)
-    degrees = tuple(c.degree for c in inputs)
-    total = 0
-    for sign, slots in phi_terms(u, degrees):
-        prod = sign
-        for c, slot in zip(inputs, slots):
-            prod *= c.value(tuple(s[i] for i in slot))
-            if not prod:
-                break
-        total += prod
-    return total
-
-
 def _check_prime(r):
     if r < 2 or any(r % j == 0 for j in range(2, r)):
         raise ValueError(f"{r} is not prime")
@@ -211,54 +193,6 @@ def d_terms(r: int, i: int, q: int):
         for sign, slots in phi_terms(u, (q,) * r):
             out.append((coeff * sign, slots))
     return out
-
-
-def d_product(r: int, i: int, B: Cochain, s) -> int:
-    """D^r_i(B)(s) = phi(psi(r)(e_i))(B, ..., B)(s), as an integer lift."""
-    _check_prime(r)
-    s = check_simplex(s)
-    total = 0
-    for u, coeff in psi(r, i).items():
-        total += coeff * phi_apply(u, (B,) * r, s)
-    return total
-
-
-def nu(q: int, r: int) -> int:
-    """Normalization (-1)**(q(q-1)m/2) * (m!)**q with m = (r-1)/2."""
-    m = (r - 1) // 2
-    sign = -1 if (q * (q - 1) * m // 2) % 2 else 1
-    return sign * factorial(m) ** q
-
-
-class ReducedPower:
-    """Per-simplex evaluator of P^s(B) at the cochain level."""
-
-    __slots__ = ("B", "r", "s", "q", "subscript", "coefficient", "degree")
-
-    def __init__(self, B: Cochain, r: int, s: int):
-        _check_prime(r)
-        if r % 2 == 0:
-            raise ValueError("reduced powers need an odd prime")
-        q = B.degree
-        subscript = (q - 2 * s) * (r - 1)
-        if subscript < 0:
-            raise ValueError(f"P^{s} vanishes on degree {q}: "
-                             "negative cup-(r,i) subscript")
-        self.B = B
-        self.r = r
-        self.s = s
-        self.q = q
-        self.subscript = subscript
-        self.coefficient = (-1 if s % 2 else 1) * nu(q, r)
-        self.degree = q + 2 * s * (r - 1)
-
-    def value(self, simplex) -> int:
-        return self.coefficient * d_product(self.r, self.subscript,
-                                            self.B, simplex)
-
-
-def reduced_power(B: Cochain, r: int, s: int) -> ReducedPower:
-    return ReducedPower(B, r, s)
 
 
 def p1_terms(q: int):

@@ -89,6 +89,31 @@ def is_closed(steps) -> bool:
     return not step_cell_sum(steps)
 
 
+def walk(steps, initial, move):
+    """Walk a word from `initial`, yielding (sign, cell, acting, after).
+
+    ``move(cell)`` is the shift a forward step adds to the state.  A
+    forward step acts at the current state a and leaves a + move; an
+    inverse step leaves a - move, which is where the forward operator
+    it undoes acts.  ``acting`` is the state at which the step's
+    forward operator acts, ``after`` the state once the step is done.
+    """
+    a = initial
+    for sign, cell in steps:
+        shift = move(cell)
+        if sign > 0:
+            acting, a = a, a + shift
+        else:
+            a = a - shift
+            acting = a
+        yield sign, cell, acting, a
+
+
+def _boundary_move(degree: int, modulus: int):
+    """Chain-picture shift of a step: the boundary of its cell."""
+    return lambda cell: Chain(degree, dict(simplex_faces(cell)), modulus)
+
+
 def trace(steps, initial: Chain):
     """Chain states visited by the word, starting from `initial`.
 
@@ -96,17 +121,13 @@ def trace(steps, initial: Chain):
     modulus `initial` carries); entry 0 is the initial state.
     """
     steps = check_steps(steps)
-    a = initial
-    out = [a]
-    for sign, cell in steps:
+    for _, cell in steps:
         if len(cell) - 1 != initial.degree + 1:
             raise ValueError(f"cell {cell} does not move "
                              f"degree-{initial.degree} states")
-        move = Chain(initial.degree, dict(simplex_faces(cell)),
-                     initial.modulus)
-        a = a + move if sign > 0 else a - move
-        out.append(a)
-    return out
+    move = _boundary_move(initial.degree, initial.modulus)
+    return [initial] + [after for _, _, _, after
+                        in walk(steps, initial, move)]
 
 
 def dual_hop(cell, k: int) -> Cochain:
@@ -115,8 +136,8 @@ def dual_hop(cell, k: int) -> Cochain:
     return dualize(Chain(len(cell) - 1, {cell: 1}), k)
 
 
-def evaluate(steps, action: ActionFunctional, initial: Cochain | None = None,
-             require_closed: bool = True) -> Phase:
+def evaluate(steps, action: ActionFunctional,
+             initial: Cochain | None = None) -> Phase:
     """Total phase of the word under the bound action functional.
 
     The state is the boundary configuration b, reduced to canonical
@@ -134,26 +155,31 @@ def evaluate(steps, action: ActionFunctional, initial: Cochain | None = None,
     if initial.degree != action.degree - 1:
         raise ValueError(
             f"initial configuration must have degree {action.degree - 1}")
-    if require_closed and not is_closed(steps):
+    if not is_closed(steps):
         raise ValueError("process word does not return to its start")
 
-    total = Phase(0, 1)
-    b = initial
-    for sign, cell in steps:
+    hops = {}
+    for _, cell in steps:
+        if cell in hops:
+            continue
         if cell[-1] > k:
             raise ValueError(f"cell {cell} does not fit in a {k}-simplex")
         if len(cell) != D - action.degree:
             raise ValueError(
                 f"cell {cell} dualizes to degree {k - len(cell)}, "
                 f"but {action.name} hops have degree {action.degree - 1}")
-        h = dual_hop(cell, k)
-        shift = h.with_modulus(b.modulus) if b.modulus else h
-        if sign > 0:
-            total += modified_excitation_phase(action, b, h, S)
-            b = b + shift
-        else:
-            b = b - shift
-            total -= modified_excitation_phase(action, b, h, S)
+        hops[cell] = dual_hop(cell, k)
+    # The state moves by the hop reduced mod N; the phase sees the
+    # integer hop (a reduced -1 would read N - 1).
+    N = initial.modulus
+    shifts = {cell: h.with_modulus(N) if N else h
+              for cell, h in hops.items()}
+
+    total = Phase(0, 1)
+    b = initial
+    for sign, cell, acting, b in walk(steps, initial, shifts.__getitem__):
+        total += sign * modified_excitation_phase(action, acting,
+                                                  hops[cell], S)
     if b != initial:
         raise AssertionError("state did not return to the initial "
                              "configuration; phase would be gauge-dependent")
@@ -234,20 +260,12 @@ def check_cancellation(steps, modulus: int = 0,
     degree = len(steps[0][1]) - 2
     if initial is None:
         initial = Chain(degree, {})
-    a = initial
     books: dict = {}
-    for sign, cell in steps:
-        move = Chain(degree, dict(simplex_faces(cell)), initial.modulus)
-        if sign > 0:
-            recorded = a
-            a = a + move
-        else:
-            a = a - move
-            recorded = a
+    for sign, cell, acting, _ in walk(
+            steps, initial, _boundary_move(degree, initial.modulus)):
         for v in cell:
-            key = (v, cell)
-            books.setdefault(key, Counter())[
-                _truncate(recorded, v, modulus)] += sign
+            books.setdefault((v, cell), Counter())[
+                _truncate(acting, v, modulus)] += sign
     residues = {}
     for key, counter in books.items():
         bad = {state: n for state, n in counter.items() if n}
@@ -270,15 +288,9 @@ def pauli_triviality_check(steps, assignment, N: int,
     degree = len(steps[0][1]) - 2
     a = initial if initial is not None else Chain(degree, {})
     total = Phase(0, 1)
-    for sign, cell in steps:
-        lam = assignment[cell]
-        move = Chain(degree, dict(simplex_faces(cell)), a.modulus)
-        if sign > 0:
-            total += Phase(lam.evaluate(a), N)
-            a = a + move
-        else:
-            a = a - move
-            total -= Phase(lam.evaluate(a), N)
+    for sign, cell, acting, _ in walk(steps, a,
+                                      _boundary_move(degree, a.modulus)):
+        total += sign * Phase(assignment[cell].evaluate(acting), N)
     return total
 
 

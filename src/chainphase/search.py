@@ -17,12 +17,14 @@ resumable batch job, far beyond test budgets; see ``legality_search``.
 from __future__ import annotations
 
 import json
+import os
 import random
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
 from .intmat import SparseIntMatrix, smith_invariant_factors
+from .process import walk
 from .simplicial import Chain, Phase, simplex_faces
 
 VACUUM_KEY = ()
@@ -52,9 +54,6 @@ class ExcitationModel:
         self.moves = moves
         self.configurations = configurations
         self._config_set = set(configurations)
-
-    def support(self, s) -> frozenset:
-        return frozenset(s)
 
     def state(self, key) -> Chain:
         return Chain(self.p, dict(key), self.modulus)
@@ -114,17 +113,10 @@ def expand_theta(word, a_key, model: ExcitationModel) -> dict:
     Returns a sparse expression {(generator, state_key): coefficient}.
     """
     expr: dict = {}
-    state = model.state(a_key)
-    for sign, s in word:
-        move = model.moves[s]
-        if sign > 0:
-            key = (s, _state_key(state))
-            expr[key] = expr.get(key, 0) + 1
-            state = state + move
-        else:
-            state = state - move
-            key = (s, _state_key(state))
-            expr[key] = expr.get(key, 0) - 1
+    for sign, s, acting, _ in walk(word, model.state(a_key),
+                                   model.moves.__getitem__):
+        key = (s, _state_key(acting))
+        expr[key] = expr.get(key, 0) + sign
     return {k: v for k, v in expr.items() if v}
 
 
@@ -153,7 +145,7 @@ def identity_words(model: ExcitationModel, max_depth: int = 3):
     pending = []
     for s1, s2 in combinations(model.generators, 2):
         word = commutator(((1, s1),), ((1, s2),))
-        common = model.support(s1) & model.support(s2)
+        common = frozenset(s1) & frozenset(s2)
         if common:
             pending.append((word, common, frozenset((s1, s2))))
         else:
@@ -166,7 +158,7 @@ def identity_words(model: ExcitationModel, max_depth: int = 3):
                 if s in used:
                     continue
                 wrapped = commutator(word, ((1, s),))
-                still = common & model.support(s)
+                still = common & frozenset(s)
                 if still:
                     deeper.append((wrapped, still, used | {s}))
                 else:
@@ -334,6 +326,22 @@ def reconstruct_process(expr: dict, model: ExcitationModel):
     return word
 
 
+def lift_halved_expression(residual: SparseIntMatrix,
+                           model: ExcitationModel):
+    """The paper's final step: find an all-even residual row, halve it,
+    and rebuild a process word from the halved expression (None when
+    no row qualifies)."""
+    for rid in sorted(residual.rows):
+        row = residual.rows[rid]
+        if all(v % 2 == 0 for v in row.values()):
+            halved = {col: v // 2 for col, v in row.items()}
+            try:
+                return reconstruct_process(halved, model)
+            except ReconstructError:
+                continue
+    return None
+
+
 # --- legality-constrained lifting (membrane stretch mode) ---------------
 
 def integer_lift(a_key, f: dict, p: int) -> Chain:
@@ -395,7 +403,9 @@ def legality_search(model: ExcitationModel, attempts: int,
     """Resumable scan over random sign functions for a Z-liftable process.
 
     State (trial count, RNG state, successes) persists in the
-    checkpoint file; rerunning continues where the last run stopped.
+    checkpoint file, replaced atomically after every trial; rerunning
+    continues where the last run stopped.  A checkpoint that cannot be
+    read back raises ValueError.
     This is the batch-scale mode: a full membrane scan is a multi-hour
     job and is not part of any test tier.
     """
@@ -407,11 +417,14 @@ def legality_search(model: ExcitationModel, attempts: int,
     successes: list[dict] = []
     path = Path(checkpoint) if checkpoint else None
     if path and path.exists():
-        saved = json.loads(path.read_text())
-        done = saved["done"]
-        successes = saved["successes"]
-        rng.setstate((saved["rng"][0], tuple(saved["rng"][1]),
-                      saved["rng"][2]))
+        try:
+            saved = json.loads(path.read_text())
+            done, successes = saved["done"], saved["successes"]
+            rng.setstate((saved["rng"][0], tuple(saved["rng"][1]),
+                          saved["rng"][2]))
+        except (OSError, ValueError, LookupError, TypeError) as exc:
+            raise ValueError(f"unreadable checkpoint {str(path)!r}: "
+                             f"{exc!r}") from exc
     while done < attempts:
         f = random_sign_function(model, rng)
         ok, residual = legality_attempt(base, f, model, require_vertex0)
@@ -423,10 +436,14 @@ def legality_search(model: ExcitationModel, attempts: int,
                 "residual_shape": list(residual.shape),
             })
         if path:
+            # Temp file, then rename over: a kill leaves the old
+            # checkpoint or the new one, never a truncated one.
             state = rng.getstate()
-            path.write_text(json.dumps({
+            tmp = path.with_name(path.name + ".tmp")
+            tmp.write_text(json.dumps({
                 "done": done,
                 "successes": successes,
                 "rng": [state[0], list(state[1]), state[2]],
             }))
+            os.replace(tmp, path)
     return {"attempts": done, "successes": successes}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 
 def check_simplex(vertices) -> tuple[int, ...]:
@@ -146,9 +146,6 @@ class _SparseMap:
     def items(self):
         return self._data.items()
 
-    def support(self):
-        return set(self._data)
-
     def __len__(self):
         return len(self._data)
 
@@ -194,10 +191,6 @@ class _SparseMap:
         return type(self)(self.degree,
                           {t: k * c for t, c in self._data.items()},
                           self.modulus)
-
-    def lift(self):
-        """The same map with modulus 0 (integer lift of the stored reps)."""
-        return type(self)(self.degree, dict(self._data), 0)
 
     def with_modulus(self, modulus: int):
         return type(self)(self.degree, dict(self._data), modulus)
@@ -353,18 +346,6 @@ class StandardComplex:
         return f"StandardComplex({self.kind!r}, k={self.k})"
 
 
-def boundary(c: Chain) -> Chain:
-    return c.boundary()
-
-
-def coboundary(c: Cochain, complex: StandardComplex) -> Cochain:
-    return c.coboundary(complex)
-
-
-def evaluate(c: Cochain, a: Chain) -> int:
-    return c.evaluate(a)
-
-
 def dualize(a: Chain, k: int) -> Cochain:
     """Dual cochain of a chain inside Delta_k.
 
@@ -391,27 +372,6 @@ def dualize(a: Chain, k: int) -> Cochain:
     return Cochain(degree, out, a.modulus)
 
 
-def integrate(f, complex: StandardComplex) -> Phase:
-    """Signed sum of a per-cell phase assignment over the top cells.
-
-    ``f`` is either a callable on cells or a mapping; a mapping must
-    cover every top cell.
-    """
-    get: Callable[[tuple[int, ...]], Phase]
-    if callable(f):
-        get = f
-    else:
-        def get(cell, _m=f):
-            try:
-                return _m[cell]
-            except KeyError:
-                raise ValueError(f"assignment missing top cell {cell}")
-    total = Phase(0)
-    for cell, sign in complex.top_cells:
-        total = total + sign * get(cell)
-    return total
-
-
 def cylinder_project(t: tuple[int, ...]):
     """Project a cylinder simplex to the base, or None when degenerate."""
     imgs = tuple(v // 2 for v in t)
@@ -419,9 +379,3 @@ def cylinder_project(t: tuple[int, ...]):
         return None
     return imgs
 
-
-def cylinder_base(t: tuple[int, ...]):
-    """Decode a bottom-copy cylinder simplex, or None if any vertex is barred."""
-    if any(v % 2 for v in t):
-        return None
-    return tuple(v // 2 for v in t)

@@ -82,12 +82,12 @@ class TestEval:
         assert code == 0
         assert doc["phase"] == {"num": 1, "den": 4}
         assert doc["steps"] == 6
-        assert doc["trace_ok"] and doc["cancellation_ok"]
+        assert doc["cancellation_ok"]
 
     def test_schema_keys(self, capsys):
         _, doc, _ = run_json(capsys, "eval", "--action", "cube3", "--N", "3")
         assert set(doc) == {"seed", "action", "N", "D", "steps", "phase",
-                            "trace_ok", "cancellation_ok"}
+                            "cancellation_ok"}
 
     def test_word_from_file(self, capsys, tmp_path):
         f = tmp_path / "word.txt"
@@ -237,6 +237,26 @@ class TestSearch:
         assert ck.exists()
         saved = json.loads(ck.read_text())
         assert saved["done"] == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["scan.json"]
+
+    def test_truncated_checkpoint_is_bad_input(self, capsys, tmp_path):
+        # A kill in the middle of a plain write leaves a cut-off file.
+        ck = tmp_path / "scan.json"
+        run(capsys, "search", "--G", "Z2", "--p", "0", "--d", "2",
+            "--stretch-membrane", "--attempts", "2", "--checkpoint", str(ck))
+        ck.write_text(ck.read_text()[:20])
+        code, _, err = run(capsys, "search", "--G", "Z2", "--p", "0",
+                           "--d", "2", "--stretch-membrane",
+                           "--attempts", "3", "--checkpoint", str(ck))
+        assert code == 2
+        assert "checkpoint" in err and str(ck) in err
+        assert "Traceback" not in err
+
+    def test_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--G", "Z2", "--p", "0", "--d", "2",
+                  "--workers", "8"])
+        assert exc.value.code == 2
 
 
 class TestSelftest:

@@ -6,13 +6,9 @@ import pytest
 from chainphase.cups import cup_k_value, cup_value
 from chainphase.fileio import load_psi3, load_term_file
 from chainphase.operad import (
-    ReducedPower,
     check_surjection,
-    d_product,
     d_terms,
-    nu,
     p1_terms,
-    phi_apply,
     phi_terms,
     psi,
 )
@@ -23,6 +19,27 @@ def rand_cochain(rng, deg, k, span=3):
     return Cochain(deg, {t: rng.randint(-span, span)
                          for t in itertools.combinations(range(k + 1),
                                                          deg + 1)})
+
+
+def term_sum(terms, inputs, s):
+    """Value on the simplex s of a positional term list fed `inputs`."""
+    total = 0
+    for sign, slots in terms:
+        prod = sign
+        for c, slot in zip(inputs, slots):
+            prod *= c.value(tuple(s[i] for i in slot))
+        total += prod
+    return total
+
+
+def phi_value(u, inputs, s):
+    """phi(u)(inputs...) on s, as an integer lift."""
+    return term_sum(phi_terms(u, tuple(c.degree for c in inputs)), inputs, s)
+
+
+def d_value(r, i, B, s):
+    """D^r_i(B)(s) = phi(psi(r)(e_i))(B, ..., B)(s), as an integer lift."""
+    return term_sum(d_terms(r, i, B.degree), (B,) * r, s)
 
 
 class TestCheckSurjection:
@@ -80,7 +97,7 @@ class TestPhi:
                 s = tuple(range(p + q + 1))
                 c = rand_cochain(rng, p, p + q)
                 d = rand_cochain(rng, q, p + q)
-                assert phi_apply((1, 2), (c, d), s) == cup_value(c, d, s)
+                assert phi_value((1, 2), (c, d), s) == cup_value(c, d, s)
 
     def test_121_is_signed_cup1(self):
         # The operad convention differs from the closed-form cup-1 by
@@ -94,7 +111,7 @@ class TestPhi:
                 for _ in range(10):
                     c = rand_cochain(rng, p, n)
                     d = rand_cochain(rng, q, n)
-                    assert phi_apply((1, 2, 1), (c, d), s) \
+                    assert phi_value((1, 2, 1), (c, d), s) \
                         == sign * cup_k_value(c, d, 1, s)
 
     def test_12312_golden_term_list(self):
@@ -112,8 +129,8 @@ class TestPhi:
         rng = random.Random(8)
         c = rand_cochain(rng, 1, 6)
         d = rand_cochain(rng, 1, 6)
-        lo = phi_apply((1, 2, 1), (c, d), (0, 1, 2))
-        hi = phi_apply((1, 2, 1), (c, d), (4, 5, 6))
+        lo = phi_value((1, 2, 1), (c, d), (0, 1, 2))
+        hi = phi_value((1, 2, 1), (c, d), (4, 5, 6))
         terms = phi_terms((1, 2, 1), (1, 1))
         want_hi = sum(
             sign * c.value(tuple((4, 5, 6)[i] for i in slots[0]))
@@ -149,39 +166,7 @@ class TestDTerms:
             triple = cup_value(Cochain(4, {
                 t: cup_value(B, B, t)
                 for t in itertools.combinations(range(7), 5)}), B, s)
-            assert d_product(3, 0, B, s) == triple
-
-
-class TestNu:
-    def test_r3_values(self):
-        assert nu(2, 3) == -1
-        assert nu(3, 3) == -1
-        assert nu(4, 3) == 1
-        assert nu(5, 3) == 1
-
-    def test_r5_value(self):
-        assert nu(2, 5) == 4
-
-    def test_period_four_in_degree(self):
-        for q in range(2, 10):
-            assert nu(q, 3) == nu(q + 4, 3)
-
-
-class TestReducedPower:
-    def test_metadata(self):
-        B = Cochain(3, {})
-        P = ReducedPower(B, 3, 1)
-        assert P.degree == 3 + 2 * (3 - 1)
-        assert P.subscript == (3 - 2) * 2
-        assert P.coefficient == -nu(3, 3)
-
-    def test_even_prime_rejected(self):
-        with pytest.raises(ValueError):
-            ReducedPower(Cochain(2, {}), 2, 1)
-
-    def test_negative_subscript_rejected(self):
-        with pytest.raises(ValueError):
-            ReducedPower(Cochain(3, {}), 3, 2)
+            assert d_value(3, 0, B, s) == triple
 
 
 class TestP1Terms:

@@ -10,10 +10,8 @@ from chainphase.simplicial import (
     Cochain,
     Phase,
     StandardComplex,
-    cylinder_base,
     cylinder_project,
     dualize,
-    integrate,
 )
 
 
@@ -199,16 +197,6 @@ class TestStandardComplex:
         full = StandardComplex.simplex(3)
         assert len(list(full.simplices(3))) == 1
 
-    def test_integrate_signed_sum(self):
-        cx = StandardComplex.cylinder(5)
-        assert integrate(lambda cell: Phase(1, 3), cx) == Phase(0)
-        one = StandardComplex.simplex(6)
-        assert integrate({(tuple(range(7))): Phase(5, 3)}, one) == Phase(2, 3)
-
-    def test_integrate_missing_cell(self):
-        with pytest.raises(ValueError):
-            integrate({}, StandardComplex.simplex(2))
-
     def test_boundary_of_top_chain_of_cylinder(self):
         # The prism triangulation is a genuine chain-level cylinder:
         # its boundary consists of top copy - bottom copy - side faces.
@@ -223,10 +211,6 @@ class TestProjectionHelpers:
         assert cylinder_project((0, 2, 4)) == (0, 1, 2)
         assert cylinder_project((0, 1, 3)) is None
         assert cylinder_project((0, 3, 5)) == (0, 1, 2)
-
-    def test_base(self):
-        assert cylinder_base((0, 2, 4)) == (0, 1, 2)
-        assert cylinder_base((0, 2, 5)) is None
 
 
 @settings(max_examples=60)
