@@ -129,7 +129,7 @@ def _require(name, N, ok, why):
 
 
 _SPECS = {
-    # name: (degree n, spacetime D, default N, divisor(N), check(N))
+    # name: (degree n, spacetime D, default N, divisor(N), check(N), why)
     "cube3": (2, 6, 2, lambda N: N, lambda N: N >= 2, "N >= 2"),
     "pontryagin9": (2, 6, 3, lambda N: 3 * N, lambda N: N % 3 == 0,
                     "N divisible by 3"),

@@ -29,8 +29,6 @@ theory, where the boundary degrees of freedom have degree one.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .actions import ActionFunctional
 from .simplicial import (Cochain, Phase, StandardComplex, check_simplex,
                          cylinder_project)
@@ -44,12 +42,8 @@ def delta_on(b: Cochain, s) -> Cochain:
     functional consumes.
     """
     s = check_simplex(s)
-    values = {}
-    for t in combinations(s, b.degree + 2):
-        v = b.on_boundary(t)
-        if v:
-            values[t] = v
-    return Cochain(b.degree + 1, values, 0)
+    return b.with_modulus(0).coboundary(
+        StandardComplex("simplex", len(s) - 1, [(s, 1)]))
 
 
 def cone_phi(action: ActionFunctional, b: Cochain, s) -> Phase:
@@ -67,19 +61,11 @@ def cone_phi(action: ActionFunctional, b: Cochain, s) -> Phase:
     if b.degree != action.degree - 1:
         raise ValueError(
             f"boundary configuration must have degree {action.degree - 1}")
-    apex = s[-1] + 1
-    cone = s + (apex,)
-    values = {}
-    for t in combinations(cone, action.degree + 1):
-        if apex in t:
-            # Faces through the apex carry no b; only dropping the
-            # apex (the last vertex) contributes.
-            v = b.value(t[:-1]) if len(t) % 2 else -b.value(t[:-1])
-        else:
-            v = b.on_boundary(t)
-        if v:
-            values[t] = v
-    phase = action.phase(Cochain(action.degree, values, 0), cone)
+    # Only b's values on s extend to the cone: the apex label may also
+    # be a vertex of b's domain.
+    on_s = Cochain(b.degree, {t: c for t, c in b.items() if set(t) <= set(s)})
+    cone = s + (s[-1] + 1,)
+    phase = action.phase(delta_on(on_s, cone), cone)
     return -phase if action.spacetime % 2 else phase
 
 

@@ -167,6 +167,10 @@ def cmd_trace(args) -> int:
             initial = fileio.load_chain(args.initial)
         except (OSError, ValueError, KeyError) as exc:
             raise InputError(f"bad initial state file: {exc}")
+    try:
+        states = process.trace(word, initial)
+    except ValueError as exc:
+        raise InputError(str(exc))
     problems = []
     if args.diff_golden:
         path = None if args.diff_golden == "builtin" else args.diff_golden
@@ -177,7 +181,6 @@ def cmd_trace(args) -> int:
         except ValueError as exc:
             raise InputError(f"malformed golden file: {exc}")
         problems = process.golden_trace_diff(word, golden, initial=initial)
-    states = process.trace(word, initial)
     payload = {
         "seed": seed, "steps": len(word),
         "states": [sorted(("".join(map(str, t)), c) for t, c in st.items())
@@ -210,7 +213,10 @@ def cmd_check_cancel(args) -> int:
     seed = _resolve_seed(args)
     word = _load_word(args.process)
     modulus = _parse_modulus(args.coeff, "coefficients")
-    report = process.check_cancellation(word, modulus=modulus)
+    try:
+        report = process.check_cancellation(word, modulus=modulus)
+    except ValueError as exc:
+        raise InputError(str(exc))
     payload = {
         "seed": seed, "coeff": args.coeff, "steps": len(word),
         "ok": report.ok,

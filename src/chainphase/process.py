@@ -16,9 +16,10 @@ through the same configuration cancel.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 from .actions import ActionFunctional
-from .boundary import modified_excitation_phase
+from .boundary import delta_on, modified_excitation_phase
 from .simplicial import (Chain, Cochain, Phase, check_simplex, dualize,
                          simplex_faces)
 
@@ -190,23 +191,12 @@ def random_closed_configuration(degree: int, k: int, modulus: int,
                                 rng) -> Cochain:
     """Random coboundary-valued configuration: delta of a random
     cochain one degree down, reduced mod N."""
-    from itertools import combinations
-
     if degree < 1:
         raise ValueError("need degree >= 1 to build an exact cochain")
-    verts = range(k + 1)
-    low = {}
-    for t in combinations(verts, degree):
-        v = rng.randrange(modulus)
-        if v:
-            low[t] = v
-    eps = Cochain(degree - 1, low, 0)
-    values = {}
-    for t in combinations(verts, degree + 1):
-        v = eps.on_boundary(t)
-        if v % modulus:
-            values[t] = v
-    return Cochain(degree, values, 0).with_modulus(modulus)
+    S = tuple(range(k + 1))
+    eps = Cochain(degree - 1, {t: rng.randrange(modulus)
+                               for t in combinations(S, degree)})
+    return delta_on(eps, S).with_modulus(modulus)
 
 
 class CancellationReport:

@@ -349,20 +349,14 @@ def integer_lift(a_key, f: dict, p: int) -> Chain:
     return Chain(p, {t: f[t] * c for t, c in a_key}, 0)
 
 
-def is_legal_config(a_key, f: dict, model: ExcitationModel) -> bool:
-    lifted = integer_lift(a_key, f, model.p)
-    return not lifted.boundary() if lifted else True
-
-
-def is_legal_term(s, a_key, f: dict, model: ExcitationModel,
-                  require_vertex0: bool = True) -> bool:
+def is_legal_term(s, a_key, f: dict, model: ExcitationModel) -> bool:
     """Legality of theta(s, a): the moved integer state stays within f.
 
     The lifted configuration plus the integer boundary of the moved
     cell must take values in {0, f(t)} on every supporting simplex,
-    and (optionally) the moving cell must contain vertex 0.
+    and the moving cell must contain vertex 0.
     """
-    if require_vertex0 and 0 not in s:
+    if 0 not in s:
         return False
     lifted = integer_lift(a_key, f, model.p)
     moved = lifted + Chain(model.p, dict(simplex_faces(s)), 0)
@@ -370,10 +364,9 @@ def is_legal_term(s, a_key, f: dict, model: ExcitationModel,
 
 
 def legality_partition(matrix: SparseIntMatrix, f: dict,
-                       model: ExcitationModel,
-                       require_vertex0: bool = True) -> set:
+                       model: ExcitationModel) -> set:
     return {col for col in matrix.columns()
-            if not is_legal_term(col[0], col[1], f, model, require_vertex0)}
+            if not is_legal_term(col[0], col[1], f, model)}
 
 
 def random_sign_function(model: ExcitationModel, rng) -> dict:
@@ -382,15 +375,14 @@ def random_sign_function(model: ExcitationModel, rng) -> dict:
 
 
 def legality_attempt(base: SparseIntMatrix, f: dict,
-                     model: ExcitationModel,
-                     require_vertex0: bool = True):
+                     model: ExcitationModel):
     """One sign-function trial: eliminate only illegal columns.
 
     Returns (success, residual): success means every illegal column was
     eliminated, leaving a legal-term matrix for further reduction.
     """
     work = base.copy()
-    illegal = legality_partition(work, f, model, require_vertex0)
+    illegal = legality_partition(work, f, model)
     work.eliminate(allowed_cols=illegal)
     remaining = illegal & work.columns()
     return not remaining, work
@@ -398,8 +390,7 @@ def legality_attempt(base: SparseIntMatrix, f: dict,
 
 def legality_search(model: ExcitationModel, attempts: int,
                     checkpoint: str | Path | None = None,
-                    seed: int = 0, max_depth: int = 3,
-                    require_vertex0: bool = True):
+                    seed: int = 0, max_depth: int = 3):
     """Resumable scan over random sign functions for a Z-liftable process.
 
     State (trial count, RNG state, successes) persists in the
@@ -427,7 +418,7 @@ def legality_search(model: ExcitationModel, attempts: int,
                              f"{exc!r}") from exc
     while done < attempts:
         f = random_sign_function(model, rng)
-        ok, residual = legality_attempt(base, f, model, require_vertex0)
+        ok, residual = legality_attempt(base, f, model)
         done += 1
         if ok:
             successes.append({

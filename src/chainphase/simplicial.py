@@ -76,9 +76,6 @@ class Phase:
     def __setattr__(self, name, value):
         raise AttributeError("Phase is immutable")
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
     def __add__(self, other):
         if not isinstance(other, Phase):
             return NotImplemented
@@ -266,7 +263,8 @@ class Cochain(_SparseMap):
 
 
 class StandardComplex:
-    """One of the three ambient complexes used throughout.
+    """A complex given by its oriented top cells; every face of a top
+    cell is a simplex of the complex.  ``kind`` is only a label.
 
     * ``StandardComplex.simplex(k)``: the full simplex Delta_k, a single
       top cell with sign +1.
@@ -313,31 +311,16 @@ class StandardComplex:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        if self.kind == "cylinder":
-            return tuple(range(2 * self.k + 2))
-        return tuple(range(self.k + 1))
+        return tuple(sorted({v for cell, _ in self.top_cells for v in cell}))
 
     def has_simplex(self, t) -> bool:
-        t = check_simplex(t)
-        if self.kind == "simplex":
-            return all(v <= self.k for v in t)
-        if self.kind == "boundary":
-            return all(v <= self.k for v in t) and len(t) <= self.k
-        # Cylinder: a face of <0..i, i'..k'> needs every bottom vertex
-        # at most i and every top vertex at least i, for some i.
-        if any(v > 2 * self.k + 1 for v in t):
-            return False
-        bottom = [v // 2 for v in t if v % 2 == 0]
-        top = [v // 2 for v in t if v % 2 == 1]
-        lo = max(bottom) if bottom else 0
-        hi = min(top) if top else self.k
-        return lo <= hi
+        t = set(check_simplex(t))
+        return any(t.issubset(cell) for cell, _ in self.top_cells)
 
-    def simplices(self, degree: int):
-        """Iterate over all simplices of the given degree, ascending order."""
-        for t in combinations(self.vertices, degree + 1):
-            if self.has_simplex(t):
-                yield t
+    def simplices(self, degree: int) -> list[tuple[int, ...]]:
+        """All simplices of the given degree, in ascending order."""
+        return sorted({t for cell, _ in self.top_cells
+                       for t in combinations(cell, degree + 1)})
 
     def top_chain(self, modulus: int = 0) -> Chain:
         return Chain(self.dimension, self.top_cells, modulus)

@@ -150,6 +150,13 @@ class TestTrace:
         assert len(doc["states"]) == 7
         assert doc["states"][0] == [] and doc["states"][-1] == []
 
+    def test_initial_of_wrong_degree_is_bad_input(self, capsys, tmp_path):
+        f = tmp_path / "chain.json"
+        f.write_text('{"degree": 2, "terms": {"0,1,2": 1}}')
+        code, _, err = run(capsys, "trace", "--process", "tjunction",
+                           "--initial", str(f))
+        assert code == 2 and "does not move degree-2 states" in err
+
 
 class TestCheckCancel:
     def test_mu56_over_z(self, capsys):
@@ -171,6 +178,12 @@ class TestCheckCancel:
     def test_bad_coefficients(self, capsys):
         code, _, err = run(capsys, "check-cancel", "--coeff", "Q")
         assert code == 2 and "coefficients" in err
+
+    def test_mixed_degree_word_is_bad_input(self, capsys, tmp_path):
+        f = tmp_path / "word.txt"
+        f.write_text("+ 0 1\n+ 0 1 2\n")
+        code, _, err = run(capsys, "check-cancel", "--process", str(f))
+        assert code == 2 and "does not have degree" in err
 
 
 class TestSteenrod:

@@ -1,8 +1,4 @@
-"""Smoke test: the fast demo scripts run to completion.
-
-``membrane_statistics.py`` takes several seconds per action and is left
-out; run it by hand after changing the process or boundary modules.
-"""
+"""Smoke test: every demo script runs to completion."""
 
 import os
 import subprocess
@@ -18,6 +14,7 @@ SRC = Path(chainphase.__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script", ["exchange_semion.py",
+                                    "membrane_statistics.py",
                                     "search_classification.py"])
 def test_demo_runs(script):
     env = dict(os.environ)

@@ -279,9 +279,6 @@ class TestLegality:
         assert is_legal_term((0, 1), occupied, f, particle)
         # Vertex-0 restriction knocks out cells away from the basepoint.
         assert not is_legal_term((1, 2), occupied, f, particle)
-        # Without it the hop is still illegal: vertex 1 goes negative.
-        assert not is_legal_term((1, 2), occupied, f, particle,
-                                 require_vertex0=False)
         # Hopping 0 -> 2 via the 02 edge stays within f everywhere.
         assert is_legal_term((0, 2), occupied, f, particle)
 

@@ -206,6 +206,36 @@ class TestStandardComplex:
         assert b.coefficient((1, 3, 5)) == 1    # top copy
 
 
+def membership_oracle(cx, t):
+    """Per-kind membership rule for the three constructors, written
+    independently of their top cells."""
+    k = cx.k
+    if cx.kind == "simplex":
+        return all(v <= k for v in t)
+    if cx.kind == "boundary":
+        return all(v <= k for v in t) and len(t) <= k
+    # Cylinder: a face of <0..i, i'..k'> needs every bottom vertex at
+    # most i and every top vertex at least i, for some i.
+    bottom = [v // 2 for v in t if v % 2 == 0]
+    top = [v // 2 for v in t if v % 2 == 1]
+    return (max(bottom, default=0) <= min(top, default=k)
+            and all(v <= 2 * k + 1 for v in t))
+
+
+@pytest.mark.parametrize("kind", ["simplex", "boundary", "cylinder"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_top_cells_match_membership_oracle(kind, k):
+    cx = getattr(StandardComplex, kind)(k)
+    verts = range(2 * k + 2 if kind == "cylinder" else k + 1)
+    assert cx.vertices == tuple(verts)
+    for n in range(1, len(verts) + 1):
+        subsets = list(itertools.combinations(verts, n))
+        for t in subsets:
+            assert cx.has_simplex(t) == membership_oracle(cx, t), t
+        assert list(cx.simplices(n - 1)) == [
+            t for t in subsets if membership_oracle(cx, t)]
+
+
 class TestProjectionHelpers:
     def test_project(self):
         assert cylinder_project((0, 2, 4)) == (0, 1, 2)
