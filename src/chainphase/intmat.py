@@ -8,6 +8,16 @@ drops both the row and the column; this splits off a trivial cyclic
 factor each time, so the invariant factors greater than one of the
 cokernel are preserved.  The dense Smith routine is the brute-force
 oracle used on small residuals and in randomized cross-checks.
+
+Pivots follow the Markowitz rule (Markowitz 1957): a +-1 entry costs
+(length of its row - 1) * (nonzeros in its column - 1), a bound on the
+fill-in it causes, and the cheapest is taken.  Ties go to the first
+entry in scan order, which is columns in the order they entered the
+matrix (a column that empties and comes back counts as new), then the
+column's rows in the iteration order of its row-id set.  The matrix
+keeps, per column, how many of its +-1 entries sit in rows of each
+length, so a column's least cost is read off without visiting a row;
+only the winning column's rows are walked to find the entry.
 """
 
 from __future__ import annotations
@@ -23,11 +33,14 @@ class SparseIntMatrix:
     (2, 2)
     """
 
-    __slots__ = ("rows", "_col_rows")
+    __slots__ = ("rows", "_col_rows", "_units", "_next_id")
 
     def __init__(self, rows: Iterable[Mapping[Hashable, int]] = ()):
         self.rows: dict[int, dict] = {}
         self._col_rows: dict[Hashable, set[int]] = {}
+        # column -> {length of a row with a +-1 there: how many such rows}
+        self._units: dict[Hashable, dict[int, int]] = {}
+        self._next_id = 1
         for row in rows:
             self.add_row(row)
 
@@ -35,10 +48,13 @@ class SparseIntMatrix:
         entries = {c: int(v) for c, v in row.items() if v}
         if not entries:
             return
-        rid = len(self.rows) + 1 if not self.rows else max(self.rows) + 1
+        rid = self._next_id
+        self._next_id += 1
         self.rows[rid] = entries
         for c in entries:
             self._col_rows.setdefault(c, set()).add(rid)
+            self._units.setdefault(c, {})
+        self._tally(entries, 1)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -51,10 +67,26 @@ class SparseIntMatrix:
         out = SparseIntMatrix()
         out.rows = {rid: dict(row) for rid, row in self.rows.items()}
         out._col_rows = {c: set(rids) for c, rids in self._col_rows.items()}
+        out._units = {c: dict(by_len) for c, by_len in self._units.items()}
+        out._next_id = self._next_id
         return out
+
+    def _tally(self, row: dict, step: int) -> None:
+        """Add ``step`` to the unit counts of each +-1 entry of ``row``."""
+        length = len(row)
+        units = self._units
+        for c, v in row.items():
+            if v == 1 or v == -1:
+                by_len = units[c]
+                n = by_len.get(length, 0) + step
+                if n:
+                    by_len[length] = n
+                else:
+                    del by_len[length]
 
     def _remove_row(self, rid: int) -> dict:
         row = self.rows.pop(rid)
+        self._tally(row, -1)
         for c in row:
             rids = self._col_rows[c]
             rids.discard(rid)
@@ -64,38 +96,76 @@ class SparseIntMatrix:
 
     def _add_multiple(self, rid: int, pivot_row: dict, factor: int) -> None:
         row = self.rows[rid]
+        before = len(row)
+        units = self._units
+        # The pivot row stays in every one of its columns until it is
+        # removed, so none of them can disappear from _col_rows here.
         for c, v in pivot_row.items():
-            new = row.get(c, 0) + factor * v
+            old = row.get(c, 0)
+            new = old + factor * v
+            if old == 1 or old == -1:
+                by_len = units[c]
+                n = by_len[before] - 1
+                if n:
+                    by_len[before] = n
+                else:
+                    del by_len[before]
             if new:
-                if c not in row:
-                    self._col_rows.setdefault(c, set()).add(rid)
+                if not old:
+                    self._col_rows[c].add(rid)
                 row[c] = new
-            elif c in row:
+            elif old:
                 del row[c]
                 rids = self._col_rows[c]
                 rids.discard(rid)
                 if not rids:
                     del self._col_rows[c]
         if not row:
-            self._remove_row(rid)
+            del self.rows[rid]
+            return
+        # The pivot row's columns were uncounted above; a unit elsewhere
+        # moves only when the row's length changed.
+        after = len(row)
+        for c, v in row.items():
+            if v == 1 or v == -1:
+                by_len = units[c]
+                if c in pivot_row:
+                    by_len[after] = by_len.get(after, 0) + 1
+                elif after != before:
+                    n = by_len[before] - 1
+                    if n:
+                        by_len[before] = n
+                    else:
+                        del by_len[before]
+                    by_len[after] = by_len.get(after, 0) + 1
 
     def _pick_pivot(self, allowed_cols=None):
-        """Unit entry minimizing estimated fill-in, or None."""
+        """The unit entry of least Markowitz cost, as (row id, column).
+
+        Ties go to the first entry in scan order: columns in
+        ``_col_rows`` order, then each column's rows in set order.
+        Returns None when no allowed column holds a +-1.
+        """
         best = None
-        best_cost = None
+        units = self._units
         for c, rids in self._col_rows.items():
             if allowed_cols is not None and c not in allowed_cols:
                 continue
-            col_nnz = len(rids)
-            for rid in rids:
-                if abs(self.rows[rid][c]) != 1:
-                    continue
-                cost = (len(self.rows[rid]) - 1) * (col_nnz - 1)
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = (rid, c), cost
-                    if cost == 0:
-                        return best
-        return best
+            by_len = units[c]
+            if not by_len:
+                continue
+            length = min(by_len)
+            cost = (length - 1) * (len(rids) - 1)
+            if best is None or cost < best_cost:
+                best, best_cost, best_length = c, cost, length
+                if cost == 0:
+                    break
+        if best is None:
+            return None
+        for rid in self._col_rows[best]:
+            row = self.rows[rid]
+            if len(row) == best_length and abs(row[best]) == 1:
+                return rid, best
 
     def eliminate(self, allowed_cols=None) -> list:
         """Pivot away unit entries; returns the elimination log.

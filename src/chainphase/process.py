@@ -69,10 +69,14 @@ def builtin(name: str):
 
 def check_steps(steps):
     out = []
-    for sign, cell in steps:
+    for i, (sign, cell) in enumerate(steps):
         if sign not in (1, -1):
             raise ValueError(f"step orientation must be +1 or -1: {sign}")
-        out.append((sign, check_simplex(cell)))
+        cell = check_simplex(cell)
+        if out and len(cell) != len(out[0][1]):
+            raise ValueError(f"step {i} has dimension {len(cell) - 1}, but "
+                             f"step 0 has dimension {len(out[0][1]) - 1}")
+        out.append((sign, cell))
     return tuple(out)
 
 

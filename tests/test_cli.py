@@ -183,7 +183,8 @@ class TestCheckCancel:
         f = tmp_path / "word.txt"
         f.write_text("+ 0 1\n+ 0 1 2\n")
         code, _, err = run(capsys, "check-cancel", "--process", str(f))
-        assert code == 2 and "does not have degree" in err
+        assert code == 2
+        assert "step 1 has dimension 2, but step 0 has dimension 1" in err
 
 
 class TestSteenrod:

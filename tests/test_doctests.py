@@ -1,0 +1,15 @@
+"""Run the examples in the library's docstrings."""
+
+import doctest
+
+import pytest
+
+from chainphase import intmat, search, simplicial
+
+
+@pytest.mark.parametrize("module", [intmat, search, simplicial],
+                         ids=lambda m: m.__name__)
+def test_docstring_examples(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0

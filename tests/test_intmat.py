@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +7,8 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from chainphase.intmat import SparseIntMatrix, smith_invariant_factors
-from chainphase.search import eliminate, torsion
+from chainphase.search import (build_model, eliminate, gen_identities,
+                               torsion)
 
 
 def sympy_factors(rows):
@@ -29,6 +29,68 @@ def from_dense(rows):
     for r in rows:
         m.add_row({j: v for j, v in enumerate(r) if v})
     return m
+
+
+def rescan_eliminate(rows, allowed_cols=None):
+    """Oracle: elimination whose picker rescans every nonzero per pivot.
+
+    The same row ids and the same set updates as `SparseIntMatrix`, so
+    scan order agrees; returns (log, residual rows).
+    """
+    mat, col_rows = {}, {}
+    for row in rows:
+        entries = {c: v for c, v in row.items() if v}
+        if entries:
+            rid = len(mat) + 1
+            mat[rid] = entries
+            for c in entries:
+                col_rows.setdefault(c, set()).add(rid)
+
+    def drop(rid, c):
+        col_rows[c].discard(rid)
+        if not col_rows[c]:
+            del col_rows[c]
+
+    def pick():
+        best = best_cost = None
+        for c, rids in col_rows.items():
+            if allowed_cols is not None and c not in allowed_cols:
+                continue
+            for rid in rids:
+                if abs(mat[rid][c]) != 1:
+                    continue
+                cost = (len(mat[rid]) - 1) * (len(rids) - 1)
+                if best_cost is None or cost < best_cost:
+                    best, best_cost = (rid, c), cost
+                    if cost == 0:
+                        return best
+        return best
+
+    log = []
+    while (best := pick()) is not None:
+        rid, c = best
+        pivot_row = dict(mat[rid])
+        for other in list(col_rows[c]):
+            if other == rid:
+                continue
+            row = mat[other]
+            factor = -row[c] * pivot_row[c]
+            for k, v in pivot_row.items():
+                new = row.get(k, 0) + factor * v
+                if new:
+                    if k not in row:
+                        col_rows[k].add(other)
+                    row[k] = new
+                elif k in row:
+                    del row[k]
+                    drop(other, k)
+            if not row:
+                del mat[other]
+        for k in mat.pop(rid):
+            drop(rid, k)
+        log.append((c, pivot_row[c],
+                    {k: v for k, v in pivot_row.items() if k != c}))
+    return log, mat
 
 
 def rank(rows):
@@ -146,6 +208,44 @@ class TestSparseIntMatrix:
         c = m.copy()
         c.add_row({0: 5})
         assert m.shape == (1, 2) and c.shape == (2, 2)
+
+
+class TestPivotOrder:
+    """The counted picker takes the entry the full rescan took."""
+
+    @staticmethod
+    def tied_rows(rng):
+        # Mostly +-1 entries, so many pivots tie on cost.
+        n, m = rng.randint(4, 18), rng.randint(3, 12)
+        return [{f"c{j}": rng.choice((1, -1, 1, -1, 2, -3, 0, 0, 0))
+                 for j in range(m)} for _ in range(n)]
+
+    def assert_same_elimination(self, rows, allowed_cols=None):
+        want_log, want_rows = rescan_eliminate(rows, allowed_cols)
+        # A copy eliminates first, so the original's counts must not
+        # share state with it.
+        mat = SparseIntMatrix(rows)
+        for m in (mat.copy(), mat):
+            assert m.eliminate(allowed_cols) == want_log
+            assert m.rows == want_rows
+
+    def test_random_ties(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            self.assert_same_elimination(self.tied_rows(rng))
+
+    def test_random_ties_allowed_cols(self):
+        rng = random.Random(29)
+        for _ in range(150):
+            rows = self.tied_rows(rng)
+            cols = sorted({c for row in rows for c in row})
+            allowed = set(rng.sample(cols, rng.randint(1, len(cols))))
+            self.assert_same_elimination(rows, allowed)
+
+    @pytest.mark.parametrize("modulus", [2, 3])
+    def test_particle_identity_matrix(self, modulus):
+        self.assert_same_elimination(
+            gen_identities(build_model(modulus, 0, 2)))
 
 
 class TestCokernelTorsion:

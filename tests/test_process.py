@@ -45,6 +45,9 @@ class TestWords:
             check_steps([(1, (1, 0))])
         with pytest.raises(ValueError):
             check_steps([(1, (0, 0))])
+        with pytest.raises(ValueError, match="step 2 has dimension 2, but "
+                                             "step 0 has dimension 1"):
+            check_steps([(1, (0, 1)), (-1, (1, 2)), (1, (0, 1, 2))])
 
     def test_builtin_words_are_closed(self):
         assert is_closed(MU56)

@@ -8,7 +8,6 @@ from chainphase.search import (
     ReconstructError,
     build_model,
     classify,
-    commutator,
     evaluate_expression,
     expand_theta,
     gen_identities,
