@@ -8,14 +8,23 @@ action on any simplex of the right dimension.  Each factor is a pair
 coboundary) on the sub-simplex picked out by ``positions`` inside the
 top cell.  All products are taken over the integer lifts of the input
 and only the final total is divided down to a phase.
+
+The first density an action computes compiles its term list into
+index form (``_compile_terms``): each factor becomes an index into a
+value vector holding the input on the top cell's degree-n faces, in
+ascending order, followed by its coboundary on the faces the
+delta-factors name.  Every later density reads the input once into
+that vector and multiplies by index.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .cups import cup_k_terms
 from .fileio import load_term_file
 from .operad import p1_terms
-from .simplicial import Cochain, Phase, check_simplex
+from .simplicial import Cochain, Phase, check_simplex, simplex_faces
 
 
 def _shift(positions, offset):
@@ -66,6 +75,40 @@ def _p1_action_terms(q: int) -> tuple:
                  for coef, slots in raw)
 
 
+def _compile_terms(terms, degree: int, spacetime: int):
+    """Index form (delta_rows, table) of a positional term list.
+
+    Face i < C(D+1, n+1) is the i-th degree-n face of the top simplex
+    <0..D> in ascending order; entry C(D+1, n+1) + j of the value
+    vector is the coboundary on the (n+1)-face of ``delta_rows[j]``,
+    stored as the (sign, face index) pairs of its facets.  Each table
+    row is (coefficient, value-vector indices of its factors).
+
+    >>> _compile_terms(((1, ((False, (0, 1)), (True, (1, 2, 3)))),), 1, 3)
+    ((((1, 5), (-1, 4), (1, 3)),), ((1, (0, 6)),))
+    """
+    index = {f: i for i, f in
+             enumerate(combinations(range(spacetime + 1), degree + 1))}
+    delta_at: dict[tuple[int, ...], int] = {}
+    delta_rows = []
+    table = []
+    for coef, factors in terms:
+        idx = []
+        for use_delta, positions in factors:
+            positions = check_simplex(positions)
+            if not use_delta:
+                idx.append(index[positions])
+                continue
+            if positions not in delta_at:
+                delta_at[positions] = len(index) + len(delta_rows)
+                delta_rows.append(tuple(
+                    (sign, index[face])
+                    for face, sign in simplex_faces(positions)))
+            idx.append(delta_at[positions])
+        table.append((coef, tuple(idx)))
+    return tuple(delta_rows), tuple(table)
+
+
 class ActionFunctional:
     """A local action evaluating a degree-n cochain on one top simplex.
 
@@ -75,7 +118,7 @@ class ActionFunctional:
     """
 
     __slots__ = ("name", "degree", "spacetime", "modulus", "divisor",
-                 "terms")
+                 "terms", "_compiled")
 
     def __init__(self, name: str, degree: int, spacetime: int,
                  modulus: int, divisor: int, terms):
@@ -85,6 +128,7 @@ class ActionFunctional:
         self.modulus = modulus
         self.divisor = divisor
         self.terms = terms
+        self._compiled = None
 
     def __repr__(self):
         return (f"ActionFunctional({self.name!r}, degree={self.degree}, "
@@ -100,13 +144,18 @@ class ActionFunctional:
             raise ValueError(
                 f"{self.name} wants a degree-{self.degree} cochain, "
                 f"got degree {B.degree}")
+        if self._compiled is None:
+            self._compiled = _compile_terms(self.terms, self.degree,
+                                           self.spacetime)
+        delta_rows, table = self._compiled
+        v = B.values_on(combinations(s, self.degree + 1))
+        v += [sum(sign * v[i] for sign, i in row) for row in delta_rows]
         total = 0
-        for coef, factors in self.terms:
+        for coef, idx in table:
             prod = coef
-            for use_delta, positions in factors:
-                sub = tuple(s[i] for i in positions)
-                prod *= B.on_boundary(sub) if use_delta else B.value(sub)
-                if prod == 0:
+            for i in idx:
+                prod *= v[i]
+                if not prod:
                     break
             total += prod
         return total

@@ -29,6 +29,8 @@ theory, where the boundary degrees of freedom have degree one.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .actions import ActionFunctional
 from .simplicial import (Cochain, Phase, StandardComplex, check_simplex,
                          cylinder_project)
@@ -85,25 +87,48 @@ def cylinder_theta(action: ActionFunctional, B: Cochain, h: Cochain,
         raise ValueError(f"cylinder base must be a {k}-simplex, got {s}")
     if B.degree != action.degree or h.degree != action.degree - 1:
         raise ValueError("cochain degrees do not match the action")
-    cyl = StandardComplex.cylinder(k)
+    n = action.degree
+    cyl, lifts, columns = _prism(k, n)
+    base = B.values_on(combinations(s, n + 1))
+    values = {t: base[i] for t, i in lifts if base[i]}
     pos = {v: i for i, v in enumerate(s)}
-
-    bottom = {}
     for t, c in h.items():
         if all(v in pos for v in t):
-            bottom[tuple(2 * pos[v] for v in t)] = c
-    delta_h = Cochain(h.degree, bottom, 0).coboundary(cyl)
-
-    values = {}
-    for t in cyl.simplices(action.degree):
-        v = delta_h.value(t)
-        base = cylinder_project(t)
-        if base is not None:
-            v += B.value(tuple(s[i] for i in base))
-        if v:
-            values[t] = v
-    phase = action.integral(Cochain(action.degree, values, 0), cyl)
+            for u, sign in columns[tuple(pos[v] for v in t)]:
+                values[u] = values.get(u, 0) + sign * c
+    phase = action.integral(Cochain(n, values, 0), cyl)
     return -phase if action.spacetime % 2 else phase
+
+
+_PRISMS: dict[tuple[int, int], tuple] = {}
+
+
+def _prism(k: int, n: int):
+    """The prism Delta_k x I with its per-hop geometry, built once.
+
+    Returns (cyl, lifts, columns).  ``lifts`` pairs every degree-n
+    prism simplex that does not degenerate under ``cylinder_project``
+    with the index of its image among the degree-n faces of Delta_k in
+    ascending (``combinations``) order, so one read of B on the faces
+    of the base serves every lift.  ``columns`` maps each (n-1)-face
+    of Delta_k to the prism coboundary of its bottom copy, as
+    (simplex, sign) pairs.
+    """
+    if (k, n) not in _PRISMS:
+        cyl = StandardComplex.cylinder(k)
+        index = {f: i for i, f in
+                 enumerate(combinations(range(k + 1), n + 1))}
+        lifts = []
+        for t in cyl.simplices(n):
+            base = cylinder_project(t)
+            if base is not None:
+                lifts.append((t, index[base]))
+        columns = {}
+        for f in combinations(range(k + 1), n):
+            bottom = Cochain(n - 1, {tuple(2 * v for v in f): 1})
+            columns[f] = tuple(bottom.coboundary(cyl).items())
+        _PRISMS[k, n] = cyl, tuple(lifts), columns
+    return _PRISMS[k, n]
 
 
 def modified_excitation_phase(action: ActionFunctional, b: Cochain,

@@ -91,9 +91,12 @@ def _get_action(name: str, N) -> ActionFunctional:
 
 def cmd_verify_table(args) -> int:
     seed = _resolve_seed(args)
-    rows = sorted(int(r) for r in args.rows.split(",")) if args.rows else \
-        sorted(TABLE_ROWS)
-    if any(r not in TABLE_ROWS for r in rows):
+    try:
+        rows = sorted(int(r) for r in args.rows.split(",")) \
+            if args.rows else sorted(TABLE_ROWS)
+    except ValueError:
+        rows = None
+    if rows is None or any(r not in TABLE_ROWS for r in rows):
         raise InputError(f"rows must be a subset of 1-5, got {args.rows!r}")
     report = {"seed": seed, "rows": [], "undetected": [], "ok": True}
     lines = [f"seed: {seed}"]
@@ -235,31 +238,30 @@ def cmd_check_cancel(args) -> int:
 
 def cmd_steenrod(args) -> int:
     seed = _resolve_seed(args)
-    if args.what == "psi3":
-        table = psi(3, args.n)
+    try:
+        payload, lines = _steenrod_listing(args.what, args.n, args.q)
+    except ValueError as exc:
+        raise InputError(str(exc))
+    _emit({"seed": seed, **payload}, args.json,
+          [f"seed: {seed}"] + lines)
+    return 0
+
+
+def _steenrod_listing(what: str, n: int, q: int):
+    if what == "psi3":
+        table = psi(3, n)
         items = ["".join(map(str, w)) for w, c in sorted(table.items())
                  for _ in range(c)]
-        payload = {"seed": seed, "what": "psi3", "n": args.n,
-                   "count": len(table), "words": items}
-        lines = [f"seed: {seed}", f"psi(3)(e_{args.n}): {len(table)} words",
-                 " ".join(items)]
-    elif args.what == "d3":
-        terms = d_terms(3, args.n, args.q)
-        payload = {"seed": seed, "what": "d3", "i": args.n, "q": args.q,
-                   "count": len(terms)}
-        lines = [f"seed: {seed}",
-                 f"D^3_{args.n} on degree-{args.q} cochains: "
-                 f"{len(terms)} terms"]
-    elif args.what == "p1":
-        terms = p1_terms(args.q)
-        payload = {"seed": seed, "what": "p1", "q": args.q,
-                   "count": len(terms)}
-        lines = [f"seed: {seed}",
-                 f"P^1 on degree-{args.q} cochains: {len(terms)} terms"]
-    else:
-        raise InputError(f"unknown listing {args.what!r}")
-    _emit(payload, args.json, lines)
-    return 0
+        return ({"what": "psi3", "n": n, "count": len(table),
+                 "words": items},
+                [f"psi(3)(e_{n}): {len(table)} words", " ".join(items)])
+    if what == "d3":
+        terms = d_terms(3, n, q)
+        return ({"what": "d3", "i": n, "q": q, "count": len(terms)},
+                [f"D^3_{n} on degree-{q} cochains: {len(terms)} terms"])
+    terms = p1_terms(q)
+    return ({"what": "p1", "q": q, "count": len(terms)},
+            [f"P^1 on degree-{q} cochains: {len(terms)} terms"])
 
 
 def cmd_search(args) -> int:
@@ -285,7 +287,10 @@ def cmd_search(args) -> int:
             f"successes: {len(result['successes'])}",
         ])
         return 0
-    factors, residual, log = search.classify(model, args.depth)
+    try:
+        factors, residual, log = search.classify(model, args.depth)
+    except ValueError as exc:
+        raise InputError(str(exc))
     payload = {
         "seed": seed, "G": args.G, "p": args.p, "d": args.d,
         "generators": len(model.generators),

@@ -25,8 +25,6 @@ become degenerate at any step are dropped.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-
 
 def check_surjection(u) -> tuple[int, ...]:
     """Validate a non-degenerate surjection word onto {1..max(u)}."""
@@ -138,7 +136,14 @@ def phi_terms(u, degrees):
 
     Returns tuples (sign, slots) where slots[s] lists the vertex
     positions (inside the target simplex <0..n>) fed to input s+1.
-    Deterministic order: lexicographic in the cut tuple.
+    Deterministic order: lexicographic in the cut tuple.  The cuts are
+    walked depth first, cutting a branch as soon as a slot overfills or
+    an interval would not start after its slot's last vertex.
+
+    The cup word on two 1-cochains has the single front/back term:
+
+    >>> phi_terms((1, 2), (1, 1))
+    [(1, ((0, 1), (1, 2)))]
     """
     u = check_surjection(u)
     k, r = len(u), max(u)
@@ -149,17 +154,15 @@ def phi_terms(u, degrees):
     if n < 0:
         raise ValueError("negative output degree")
     final = [u[t] not in u[t + 1:] for t in range(k)]
+    room = [d + 1 for d in degrees]  # vertices each slot still takes
+    last = [-1] * r                  # each slot's last vertex so far
+    cuts = [0] * (k + 1)
     terms = []
-    for interior in combinations_with_replacement(range(n + 1), k - 1):
-        cuts = (0,) + interior + (n,)
+
+    def emit():
         slots = [[] for _ in range(r)]
         for t in range(k):
             slots[u[t] - 1].extend(range(cuts[t], cuts[t + 1] + 1))
-        if any(len(slot) != d + 1 for slot, d in zip(slots, degrees)):
-            continue
-        if any(a >= b_
-               for slot in slots for a, b_ in zip(slot, slot[1:])):
-            continue
         weights = [cuts[t + 1] - cuts[t] + (0 if final[t] else 1)
                    for t in range(k)]
         exp = 0
@@ -172,6 +175,29 @@ def phi_terms(u, degrees):
                 exp += cuts[t + 1]
         sign = -1 if exp % 2 else 1
         terms.append((sign, tuple(tuple(slot) for slot in slots)))
+
+    def place(t):
+        # Interval t starts at cuts[t]; try each end in ascending
+        # order.  Slot sizes always sum to n + k, so when no slot
+        # overfills every slot ends exactly full.
+        slot, start = u[t] - 1, cuts[t]
+        if start <= last[slot]:
+            return
+        for end in (n,) if t == k - 1 else range(start, n + 1):
+            size = end - start + 1
+            if size > room[slot]:
+                return
+            cuts[t + 1] = end
+            room[slot] -= size
+            prev, last[slot] = last[slot], end
+            if t == k - 1:
+                emit()
+            else:
+                place(t + 1)
+            room[slot] += size
+            last[slot] = prev
+
+    place(0)
     return terms
 
 

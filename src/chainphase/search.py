@@ -396,12 +396,14 @@ def legality_search(model: ExcitationModel, attempts: int,
     State (trial count, RNG state, successes) persists in the
     checkpoint file, replaced atomically after every trial; rerunning
     continues where the last run stopped.  A checkpoint that cannot be
-    read back raises ValueError.
+    read back raises ValueError, and so does a negative ``attempts``.
     This is the batch-scale mode: a full membrane scan is a multi-hour
     job and is not part of any test tier.
     """
     if model.modulus != 2:
         raise ValueError("legality lifting applies to the Z_2 model")
+    if attempts < 0:
+        raise ValueError(f"attempts must be >= 0, got {attempts}")
     base = identity_matrix(model, max_depth)
     rng = random.Random(seed)
     done = 0

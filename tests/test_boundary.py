@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chainphase.actions import get_action
+from chainphase.actions import ActionFunctional, action_names, get_action
 from chainphase.boundary import (
     boundary_action_phase,
     boundary_symmetry_phase,
@@ -14,7 +14,8 @@ from chainphase.boundary import (
     explicit_hopping_phase,
     modified_excitation_phase,
 )
-from chainphase.simplicial import Cochain, Phase
+from chainphase.simplicial import (Cochain, Phase, StandardComplex,
+                                   cylinder_project)
 
 
 def rand_cochain(rng, deg, verts, span=3):
@@ -38,6 +39,25 @@ def theta_closed_form(B, h, N, s):
              + g(0, 1, 2) * hv(2, 3) * b(3, 4, 5)
              + hv(0, 1) * b(1, 2, 3) * b(3, 4, 5))
     return Phase(total, N)
+
+
+def per_hop_cylinder_theta(action, B, h, s):
+    """Oracle: Theta with the prism, its simplices and the coboundary
+    of h all built afresh for this one call."""
+    cyl = StandardComplex.cylinder(action.spacetime - 1)
+    pos = {v: i for i, v in enumerate(s)}
+    bottom = {tuple(2 * pos[v] for v in t): c for t, c in h.items()
+              if all(v in pos for v in t)}
+    delta_h = Cochain(h.degree, bottom).coboundary(cyl)
+    values = {}
+    for t in cyl.simplices(action.degree):
+        v = delta_h.value(t)
+        base = cylinder_project(t)
+        if base is not None:
+            v += B.value(tuple(s[i] for i in base))
+        values[t] = v
+    phase = action.integral(Cochain(action.degree, values), cyl)
+    return -phase if action.spacetime % 2 else phase
 
 
 class TestDeltaOn:
@@ -196,6 +216,29 @@ class TestCylinderTheta:
             rhs = (action.phase(B + delta_on(h, u), u)
                    - action.phase(B, u))
             assert lhs == rhs
+
+    @pytest.mark.parametrize("name", action_names())
+    def test_matches_per_hop_prism(self, name):
+        # Random B (integer or mod N) and h on a base simplex with gaps;
+        # both carry values off the base, which Theta must ignore.  A
+        # large prime divisor keeps the integer total visible in the
+        # phase: with the action's own divisor (2 or 3 for the big
+        # actions) many totals read 0.
+        a = get_action(name)
+        action = ActionFunctional(a.name, a.degree, a.spacetime, a.modulus,
+                                  1_000_000_007, a.terms)
+        k = action.spacetime - 1
+        rng = random.Random(f"prism:{name}")
+        seen = []
+        for modulus in (0, action.modulus, 0):
+            verts = sorted(rng.sample(range(k + 5), k + 3))
+            s = tuple(sorted(rng.sample(verts, k + 1)))
+            B = rand_cochain(rng, action.degree, verts).with_modulus(modulus)
+            h = rand_cochain(rng, action.degree - 1, verts)
+            got = cylinder_theta(action, B, h, s)
+            assert got == per_hop_cylinder_theta(action, B, h, s)
+            seen.append(got)
+        assert any(seen)
 
     def test_matches_printed_expansion(self):
         # The cubic theory's Theta on one 5-simplex equals the explicit

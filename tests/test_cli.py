@@ -45,6 +45,12 @@ class TestVerifyTable:
         assert code == 2
         assert "rows" in err
 
+    @pytest.mark.parametrize("rows", ["x", ",1"])
+    def test_malformed_rows_are_bad_input(self, capsys, rows):
+        code, _, err = run(capsys, "verify-table", "--rows", rows)
+        assert code == 2
+        assert f"got {rows!r}" in err
+
     def test_json_is_deterministic(self, capsys):
         _, out1, _ = run(capsys, "verify-table", "--rows", "1", "--json")
         _, out2, _ = run(capsys, "verify-table", "--rows", "1", "--json")
@@ -207,6 +213,17 @@ class TestSteenrod:
                              "--n", "6", "--q", "5")
         assert doc["count"] == 1110
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--what", "psi3", "--n", "-2"), "n >= 0"),
+        (("--what", "d3", "--n", "-1"), "n >= 0"),
+        (("--what", "p1", "--q", "1"), "degree >= 2"),
+    ])
+    def test_out_of_range_parameters_are_bad_input(self, capsys, argv,
+                                                   message):
+        code, out, err = run(capsys, "steenrod", *argv)
+        assert code == 2
+        assert message in err and not out
+
 
 class TestSearch:
     def test_particle_classification(self, capsys):
@@ -236,6 +253,17 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--G", "Z2", "--p", "2",
                            "--d", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("extra,message", [
+        (("--depth", "1"), "depth >= 2"),
+        (("--stretch-membrane", "--attempts", "-3"), "attempts must be"),
+    ])
+    def test_out_of_range_parameters_are_bad_input(self, capsys, extra,
+                                                   message):
+        code, out, err = run(capsys, "search", "--G", "Z2", "--p", "0",
+                             "--d", "2", *extra)
+        assert code == 2
+        assert message in err and not out
 
     def test_integer_group_needs_stretch_mode(self, capsys):
         code, _, err = run(capsys, "search", "--G", "Z", "--p", "0",

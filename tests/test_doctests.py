@@ -4,10 +4,11 @@ import doctest
 
 import pytest
 
-from chainphase import intmat, search, simplicial
+from chainphase import actions, intmat, operad, search, simplicial
 
 
-@pytest.mark.parametrize("module", [intmat, search, simplicial],
+@pytest.mark.parametrize("module",
+                         [actions, intmat, operad, search, simplicial],
                          ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)

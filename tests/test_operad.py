@@ -32,6 +32,34 @@ def term_sum(terms, inputs, s):
     return total
 
 
+def brute_force_phi_terms(u, degrees):
+    """Oracle: phi_terms by scanning every weakly increasing cut tuple
+    and dropping those whose slots do not fit."""
+    k, r = len(u), max(u)
+    n = sum(d + 1 for d in degrees) - k
+    final = [u[t] not in u[t + 1:] for t in range(k)]
+    terms = []
+    for interior in itertools.combinations_with_replacement(range(n + 1),
+                                                            k - 1):
+        cuts = (0,) + interior + (n,)
+        slots = [[] for _ in range(r)]
+        for t in range(k):
+            slots[u[t] - 1].extend(range(cuts[t], cuts[t + 1] + 1))
+        if any(len(slot) != d + 1 for slot, d in zip(slots, degrees)):
+            continue
+        if any(a >= b for slot in slots for a, b in zip(slot, slot[1:])):
+            continue
+        weights = [cuts[t + 1] - cuts[t] + (0 if final[t] else 1)
+                   for t in range(k)]
+        exp = sum(weights[t1] * weights[t2]
+                  for t1, t2 in itertools.combinations(range(k), 2)
+                  if u[t1] > u[t2])
+        exp += sum(cuts[t + 1] for t in range(k) if not final[t])
+        terms.append((-1 if exp % 2 else 1,
+                      tuple(tuple(slot) for slot in slots)))
+    return terms
+
+
 def phi_value(u, inputs, s):
     """phi(u)(inputs...) on s, as an integer lift."""
     return term_sum(phi_terms(u, tuple(c.degree for c in inputs)), inputs, s)
@@ -142,6 +170,23 @@ class TestPhi:
     def test_wrong_input_count(self):
         with pytest.raises(ValueError):
             phi_terms((1, 2, 1), (1, 1, 1))
+
+
+class TestPhiTermsSearch:
+    def test_matches_brute_force_on_psi3_words(self):
+        # Every word of psi(3)(e_i), i <= 4, on every degree triple up
+        # to 3 with a non-negative output degree; many of these admit
+        # no cut tuple at all.
+        empty = full = 0
+        for u in sorted(w for i in range(5) for w in psi(3, i)):
+            for degrees in itertools.product(range(4), repeat=3):
+                if sum(d + 1 for d in degrees) < len(u):
+                    continue
+                want = brute_force_phi_terms(u, degrees)
+                assert phi_terms(u, degrees) == want, (u, degrees)
+                empty += not want
+                full += bool(want)
+        assert empty and full
 
 
 class TestDTerms:
