@@ -14,10 +14,9 @@ import random
 
 from chainphase.actions import get_action
 from chainphase.process import evaluate
-from chainphase.search import (ReconstructError, build_model, classify,
-                               evaluate_expression, expand_theta,
-                               random_bilinear_realization,
-                               reconstruct_process)
+from chainphase.search import (build_model, classify, evaluate_expression,
+                               expand_theta, lift_halved_expression,
+                               random_bilinear_realization)
 
 model = build_model(2, 0, 2)
 print(f"Model: mod-{model.modulus} point charges on the boundary of "
@@ -44,16 +43,7 @@ print("  a doubled commutator expression evaluates to",
 print()
 print("Reconstructing a runnable word from an order-2 class of the")
 print("residual (the square inside the Z_4):")
-steps = None
-for rid in sorted(residual.rows):
-    row = residual.rows[rid]
-    if row and all(v % 2 == 0 for v in row.values()):
-        try:
-            steps = reconstruct_process(
-                {col: v // 2 for col, v in row.items()}, model)
-            break
-        except ReconstructError:
-            continue
+steps = lift_halved_expression(residual, model)
 if steps is None:
     print("  no halvable residual expression found")
 else:

@@ -76,14 +76,17 @@ def cup_k_value(c: Cochain, d: Cochain, k: int, s) -> int:
     if len(s) != p + q - k + 1:
         raise ValueError(f"simplex {s} has wrong size for cup-{k} "
                          f"of degrees ({p}, {q})")
+    # Position subsequences of the checked s are ascending simplices,
+    # so the factors are read without validating them again: the same
+    # unchecked dict.get as Cochain.values_on, one face at a time so
+    # that d is read only where c is nonzero.
+    at = s.__getitem__
+    cget, dget = c._data.get, d._data.get
     total = 0
     for sign, left, right in cup_k_terms(p, q, k):
-        cv = c.value(tuple(s[i] for i in left))
-        if not cv:
-            continue
-        dv = d.value(tuple(s[i] for i in right))
-        if dv:
-            total += sign * cv * dv
+        cv = cget(tuple(map(at, left)), 0)
+        if cv:
+            total += sign * cv * dget(tuple(map(at, right)), 0)
     return total
 
 

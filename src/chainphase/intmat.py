@@ -1,6 +1,6 @@
 """Exact integer matrices: sparse unit-pivot elimination and Smith form.
 
-The sparse matrix stores rows as dicts keyed by arbitrary hashable
+The sparse matrix takes rows as dicts keyed by arbitrary hashable
 column labels, which lets callers index columns by domain objects
 (e.g. generator/configuration pairs) instead of integers.  Elimination
 repeatedly picks a +-1 entry, clears its column with that row, and
@@ -8,6 +8,14 @@ drops both the row and the column; this splits off a trivial cyclic
 factor each time, so the invariant factors greater than one of the
 cokernel are preserved.  The dense Smith routine is the brute-force
 oracle used on small residuals and in randomized cross-checks.
+
+Column labels are interned: ``add_row`` gives each new label the next
+dense int, in first-seen order, and every internal table is keyed by
+those ints, so the row arithmetic hashes small ints rather than nested
+label tuples.  Labels come back only at the boundary: the ``rows``
+view, ``columns()``, ``allowed_cols``, the elimination log and
+``to_dense``.  Since ints are handed out in label order, every order
+below is the same whether read in ints or in labels.
 
 Pivots follow the Markowitz rule (Markowitz 1957): a +-1 entry costs
 (length of its row - 1) * (nonzeros in its column - 1), a bound on the
@@ -31,44 +39,68 @@ class SparseIntMatrix:
     >>> m = SparseIntMatrix([{"x": 1, "y": 2}, {"y": 4}])
     >>> m.shape
     (2, 2)
+    >>> m.rows
+    {1: {'x': 1, 'y': 2}, 2: {'y': 4}}
     """
 
-    __slots__ = ("rows", "_col_rows", "_units", "_next_id")
+    __slots__ = ("_rows", "_col_rows", "_units", "_next_id", "_labels",
+                 "_index")
 
     def __init__(self, rows: Iterable[Mapping[Hashable, int]] = ()):
-        self.rows: dict[int, dict] = {}
-        self._col_rows: dict[Hashable, set[int]] = {}
+        # Row id -> {column id: value}; column id -> label and back.
+        self._rows: dict[int, dict[int, int]] = {}
+        self._col_rows: dict[int, set[int]] = {}
         # column -> {length of a row with a +-1 there: how many such rows}
-        self._units: dict[Hashable, dict[int, int]] = {}
+        self._units: dict[int, dict[int, int]] = {}
         self._next_id = 1
+        self._labels: list = []
+        self._index: dict[Hashable, int] = {}
         for row in rows:
             self.add_row(row)
 
     def add_row(self, row: Mapping[Hashable, int]) -> None:
-        entries = {c: int(v) for c, v in row.items() if v}
+        index, labels = self._index, self._labels
+        entries = {}
+        for label, v in row.items():
+            if v:
+                c = index.get(label)
+                if c is None:
+                    c = index[label] = len(labels)
+                    labels.append(label)
+                entries[c] = int(v)
         if not entries:
             return
         rid = self._next_id
         self._next_id += 1
-        self.rows[rid] = entries
+        self._rows[rid] = entries
         for c in entries:
             self._col_rows.setdefault(c, set()).add(rid)
             self._units.setdefault(c, {})
         self._tally(entries, 1)
 
     @property
+    def rows(self) -> dict[int, dict]:
+        """The rows by row id, keyed by column label (a fresh copy)."""
+        labels = self._labels
+        return {rid: {labels[c]: v for c, v in row.items()}
+                for rid, row in self._rows.items()}
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self._col_rows)
+        return len(self._rows), len(self._col_rows)
 
     def columns(self):
-        return set(self._col_rows)
+        labels = self._labels
+        return {labels[c] for c in self._col_rows}
 
     def copy(self) -> "SparseIntMatrix":
         out = SparseIntMatrix()
-        out.rows = {rid: dict(row) for rid, row in self.rows.items()}
+        out._rows = {rid: dict(row) for rid, row in self._rows.items()}
         out._col_rows = {c: set(rids) for c, rids in self._col_rows.items()}
         out._units = {c: dict(by_len) for c, by_len in self._units.items()}
         out._next_id = self._next_id
+        out._labels = list(self._labels)
+        out._index = dict(self._index)
         return out
 
     def _tally(self, row: dict, step: int) -> None:
@@ -85,7 +117,7 @@ class SparseIntMatrix:
                     del by_len[length]
 
     def _remove_row(self, rid: int) -> dict:
-        row = self.rows.pop(rid)
+        row = self._rows.pop(rid)
         self._tally(row, -1)
         for c in row:
             rids = self._col_rows[c]
@@ -95,7 +127,7 @@ class SparseIntMatrix:
         return row
 
     def _add_multiple(self, rid: int, pivot_row: dict, factor: int) -> None:
-        row = self.rows[rid]
+        row = self._rows[rid]
         before = len(row)
         units = self._units
         # The pivot row stays in every one of its columns until it is
@@ -121,7 +153,7 @@ class SparseIntMatrix:
                 if not rids:
                     del self._col_rows[c]
         if not row:
-            del self.rows[rid]
+            del self._rows[rid]
             return
         # The pivot row's columns were uncounted above; a unit elsewhere
         # moves only when the row's length changed.
@@ -139,17 +171,18 @@ class SparseIntMatrix:
                         del by_len[before]
                     by_len[after] = by_len.get(after, 0) + 1
 
-    def _pick_pivot(self, allowed_cols=None):
+    def _pick_pivot(self, allowed=None):
         """The unit entry of least Markowitz cost, as (row id, column).
 
         Ties go to the first entry in scan order: columns in
         ``_col_rows`` order, then each column's rows in set order.
-        Returns None when no allowed column holds a +-1.
+        Returns None when no allowed column (a set of column ids, or
+        None for all) holds a +-1.
         """
         best = None
         units = self._units
         for c, rids in self._col_rows.items():
-            if allowed_cols is not None and c not in allowed_cols:
+            if allowed is not None and c not in allowed:
                 continue
             by_len = units[c]
             if not by_len:
@@ -163,7 +196,7 @@ class SparseIntMatrix:
         if best is None:
             return None
         for rid in self._col_rows[best]:
-            row = self.rows[rid]
+            row = self._rows[rid]
             if len(row) == best_length and abs(row[best]) == 1:
                 return rid, best
 
@@ -175,38 +208,44 @@ class SparseIntMatrix:
         terms of the surviving ones, which is enough to lift solutions
         back through the elimination.  With ``allowed_cols`` given,
         only pivots in those columns are taken (the remaining matrix
-        may then still contain unit entries elsewhere).
+        may then still contain unit entries elsewhere); labels the
+        matrix never had are ignored.
         """
+        index, labels = self._index, self._labels
+        allowed = None if allowed_cols is None else {
+            index[label] for label in allowed_cols if label in index}
         log = []
         while True:
-            pick = self._pick_pivot(allowed_cols)
+            pick = self._pick_pivot(allowed)
             if pick is None:
                 return log
             rid, c = pick
-            pivot_row = dict(self.rows[rid])
+            pivot_row = dict(self._rows[rid])
             pivot_val = pivot_row[c]
             for other in list(self._col_rows.get(c, ())):
                 if other == rid:
                     continue
-                factor = -self.rows[other][c] * pivot_val  # pivot_val in {1,-1}
+                factor = -self._rows[other][c] * pivot_val  # pivot_val in {1,-1}
                 self._add_multiple(other, pivot_row, factor)
             self._remove_row(rid)
             # The pivot column is gone from every row now; drop it from
             # the recorded row too so the log maps it to survivors only.
-            log.append((c, pivot_val,
-                        {k: v for k, v in pivot_row.items() if k != c}))
+            log.append((labels[c], pivot_val,
+                        {labels[k]: v for k, v in pivot_row.items()
+                         if k != c}))
 
     def to_dense(self):
         """(matrix as list of lists, ordered column labels)."""
-        cols = sorted(self._col_rows, key=repr)
-        index = {c: i for i, c in enumerate(cols)}
+        labels = self._labels
+        order = sorted(self._col_rows, key=lambda c: repr(labels[c]))
+        position = {c: i for i, c in enumerate(order)}
         dense = []
-        for rid in sorted(self.rows):
-            vec = [0] * len(cols)
-            for c, v in self.rows[rid].items():
-                vec[index[c]] = v
+        for rid in sorted(self._rows):
+            vec = [0] * len(order)
+            for c, v in self._rows[rid].items():
+                vec[position[c]] = v
             dense.append(vec)
-        return dense, cols
+        return dense, [labels[c] for c in order]
 
     def __repr__(self):
         r, c = self.shape

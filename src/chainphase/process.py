@@ -94,29 +94,36 @@ def is_closed(steps) -> bool:
     return not step_cell_sum(steps)
 
 
-def walk(steps, initial, move):
+def walk(steps, initial, shift):
     """Walk a word from `initial`, yielding (sign, cell, acting, after).
 
-    ``move(cell)`` is the shift a forward step adds to the state.  A
-    forward step acts at the current state a and leaves a + move; an
-    inverse step leaves a - move, which is where the forward operator
-    it undoes acts.  ``acting`` is the state at which the step's
-    forward operator acts, ``after`` the state once the step is done.
+    ``shift(a, sign, cell)`` is the state a step of that orientation
+    leaves behind at a.  A forward step acts at the current state a;
+    an inverse step first moves back, to where the forward operator it
+    undoes acts.  ``acting`` is the state at which the step's forward
+    operator acts, ``after`` the state once the step is done.
     """
     a = initial
     for sign, cell in steps:
-        shift = move(cell)
         if sign > 0:
-            acting, a = a, a + shift
+            acting, a = a, shift(a, sign, cell)
         else:
-            a = a - shift
+            a = shift(a, sign, cell)
             acting = a
         yield sign, cell, acting, a
 
 
-def _boundary_move(degree: int, modulus: int):
-    """Chain-picture shift of a step: the boundary of its cell."""
-    return lambda cell: Chain(degree, dict(simplex_faces(cell)), modulus)
+def _shifting(move):
+    """The ``walk`` shift a +- move(cell), for a forward move ``move``."""
+    def shift(a, sign, cell):
+        return a + move(cell) if sign > 0 else a - move(cell)
+    return shift
+
+
+def _boundary_shift(degree: int, modulus: int):
+    """Chain-picture shift of a step: a +- the boundary of its cell."""
+    return _shifting(
+        lambda cell: Chain(degree, dict(simplex_faces(cell)), modulus))
 
 
 def trace(steps, initial: Chain):
@@ -130,9 +137,9 @@ def trace(steps, initial: Chain):
         if len(cell) - 1 != initial.degree + 1:
             raise ValueError(f"cell {cell} does not move "
                              f"degree-{initial.degree} states")
-    move = _boundary_move(initial.degree, initial.modulus)
+    shift = _boundary_shift(initial.degree, initial.modulus)
     return [initial] + [after for _, _, _, after
-                        in walk(steps, initial, move)]
+                        in walk(steps, initial, shift)]
 
 
 def dual_hop(cell, k: int) -> Cochain:
@@ -182,7 +189,8 @@ def evaluate(steps, action: ActionFunctional,
 
     total = Phase(0, 1)
     b = initial
-    for sign, cell, acting, b in walk(steps, initial, shifts.__getitem__):
+    for sign, cell, acting, b in walk(steps, initial,
+                                      _shifting(shifts.__getitem__)):
         total += sign * modified_excitation_phase(action, acting,
                                                   hops[cell], S)
     if b != initial:
@@ -256,7 +264,7 @@ def check_cancellation(steps, modulus: int = 0,
         initial = Chain(degree, {})
     books: dict = {}
     for sign, cell, acting, _ in walk(
-            steps, initial, _boundary_move(degree, initial.modulus)):
+            steps, initial, _boundary_shift(degree, initial.modulus)):
         for v in cell:
             books.setdefault((v, cell), Counter())[
                 _truncate(acting, v, modulus)] += sign
@@ -283,7 +291,7 @@ def pauli_triviality_check(steps, assignment, N: int,
     a = initial if initial is not None else Chain(degree, {})
     total = Phase(0, 1)
     for sign, cell, acting, _ in walk(steps, a,
-                                      _boundary_move(degree, a.modulus)):
+                                      _boundary_shift(degree, a.modulus)):
         total += sign * Phase(assignment[cell].evaluate(acting), N)
     return total
 

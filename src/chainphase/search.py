@@ -40,13 +40,15 @@ class ExcitationModel:
     Attributes: ``modulus`` (fusion group Z_N), ``p``, ``d``,
     ``generators`` (the (p+1)-simplices, ascending), ``configurations``
     (every p-boundary, as canonical state keys), ``moves`` (generator
-    -> boundary Chain mod N).
+    -> boundary Chain mod N).  Every move of every configuration is
+    recorded once, in both directions, and read back by ``step``.
     """
 
     __slots__ = ("modulus", "p", "d", "generators", "moves",
-                 "configurations", "_config_set")
+                 "configurations", "_config_set", "_steps")
 
-    def __init__(self, modulus, p, d, generators, moves, configurations):
+    def __init__(self, modulus, p, d, generators, moves, configurations,
+                 steps):
         self.modulus = modulus
         self.p = p
         self.d = d
@@ -54,9 +56,24 @@ class ExcitationModel:
         self.moves = moves
         self.configurations = configurations
         self._config_set = set(configurations)
+        # (sign, generator) -> {configuration key: key after the step}
+        self._steps = steps
 
     def state(self, key) -> Chain:
         return Chain(self.p, dict(key), self.modulus)
+
+    def step(self, key, sign, s):
+        """The configuration key a step (sign +-1, generator s) leaves
+        at ``key``: the table form of ``state(key) +- moves[s]``.
+
+        >>> m = build_model(2, 0, 2)
+        >>> a, s = m.configurations[3], m.generators[0]
+        >>> m.step(a, 1, s)
+        (((1,), 1), ((2,), 1))
+        >>> m.step(m.step(a, 1, s), -1, s) == a
+        True
+        """
+        return self._steps[sign, s][key]
 
     def is_configuration(self, key) -> bool:
         return key in self._config_set
@@ -86,22 +103,27 @@ def build_model(modulus: int, p: int, d: int) -> ExcitationModel:
     generators = list(combinations(verts, p + 2))
     moves = {s: Chain(p, dict(simplex_faces(s)), modulus)
              for s in generators}
-    # Breadth-first closure of the subgroup generated by the moves.
-    zero = Chain(p, {}, modulus)
-    seen = {_state_key(zero)}
-    frontier = [zero]
+    # Breadth-first closure of the subgroup generated by the moves,
+    # recording each move both ways.  Equal keys share one object.
+    steps = {(sign, s): {} for s in generators for sign in (1, -1)}
+    canonical = {VACUUM_KEY: VACUUM_KEY}
+    frontier = [(VACUUM_KEY, Chain(p, {}, modulus))]
     while frontier:
         nxt = []
-        for state in frontier:
-            for move in moves.values():
+        for key, state in frontier:
+            for s, move in moves.items():
                 new = state + move
-                key = _state_key(new)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(new)
+                new_key = _state_key(new)
+                if new_key in canonical:
+                    new_key = canonical[new_key]
+                else:
+                    canonical[new_key] = new_key
+                    nxt.append((new_key, new))
+                steps[1, s][key] = new_key
+                steps[-1, s][new_key] = key
         frontier = nxt
     return ExcitationModel(modulus, p, d, generators, moves,
-                           tuple(sorted(seen)))
+                           tuple(sorted(canonical)), steps)
 
 
 def expand_theta(word, a_key, model: ExcitationModel) -> dict:
@@ -112,10 +134,12 @@ def expand_theta(word, a_key, model: ExcitationModel) -> dict:
     inverse step first moves back and contributes -theta(s, a_new).
     Returns a sparse expression {(generator, state_key): coefficient}.
     """
+    if not model.is_configuration(a_key):
+        raise ValueError(f"state {a_key} is not a configuration of "
+                         f"{model!r}")
     expr: dict = {}
-    for sign, s, acting, _ in walk(word, model.state(a_key),
-                                   model.moves.__getitem__):
-        key = (s, _state_key(acting))
+    for sign, s, acting, _ in walk(word, a_key, model.step):
+        key = (s, acting)
         expr[key] = expr.get(key, 0) + sign
     return {k: v for k, v in expr.items() if v}
 
@@ -260,7 +284,7 @@ def reconstruct_process(expr: dict, model: ExcitationModel):
     for (s, a_key), coeff in expr.items():
         if not model.is_configuration(a_key):
             raise ReconstructError(f"state {a_key} is not a configuration")
-        target = _state_key(model.state(a_key) + model.moves[s])
+        target = model.step(a_key, 1, s)
         if coeff > 0:
             src, step = a_key, (1, s, target)
         else:
@@ -297,10 +321,9 @@ def reconstruct_process(expr: dict, model: ExcitationModel):
         while frontier:
             nxt = []
             for key in frontier:
-                state = model.state(key)
-                for s, move in model.moves.items():
-                    for sign, new in ((1, state + move), (-1, state - move)):
-                        nk = _state_key(new)
+                for s in model.generators:
+                    for sign in (1, -1):
+                        nk = model.step(key, sign, s)
                         if nk not in seen:
                             seen[nk] = seen[key] + ((sign, s),)
                             if nk == target_key:
@@ -331,8 +354,9 @@ def lift_halved_expression(residual: SparseIntMatrix,
     """The paper's final step: find an all-even residual row, halve it,
     and rebuild a process word from the halved expression (None when
     no row qualifies)."""
-    for rid in sorted(residual.rows):
-        row = residual.rows[rid]
+    rows = residual.rows
+    for rid in sorted(rows):
+        row = rows[rid]
         if all(v % 2 == 0 for v in row.values()):
             halved = {col: v // 2 for col, v in row.items()}
             try:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -293,6 +294,32 @@ class TestSearch:
         assert code == 2
         assert "checkpoint" in err and str(ck) in err
         assert "Traceback" not in err
+
+    def test_emit_process_bytes(self, capsys, tmp_path):
+        # The Z2 particle model's halved residual row, as a word.
+        out = tmp_path / "word.txt"
+        code, _, _ = run(capsys, "search", "--G", "Z2", "--p", "0",
+                         "--d", "2", "--emit-process", str(out))
+        assert code == 0
+        assert out.read_text() == (
+            "+ 1 2\n- 2 3\n- 1 3\n+ 1 2\n- 2 3\n- 1 3\n+ 0 3\n"
+            "+ 2 3\n+ 1 3\n- 1 2\n+ 2 3\n+ 1 3\n- 1 2\n- 0 3\n")
+
+    def test_stretch_checkpoint_bytes(self, capsys, tmp_path):
+        ck = tmp_path / "scan.json"
+        code, _, _ = run(capsys, "--seed", "5", "search", "--G", "Z2",
+                         "--p", "0", "--d", "2", "--stretch-membrane",
+                         "--attempts", "7", "--checkpoint", str(ck))
+        assert code == 0
+        data = ck.read_bytes()
+        doc = json.loads(data)
+        assert doc["done"] == 7
+        assert doc["successes"] == [
+            {"trial": trial, "f": {"0": 1, "1": 1, "2": 1, "3": 1},
+             "residual_shape": [144, 6]} for trial in (2, 4, 7)]
+        # The whole document, the RNG state included.
+        assert hashlib.sha256(data).hexdigest() == (
+            "6bf9d910a214e66e44d38fc22a4932e4766ce077000ced071d9f7076c915a865")
 
     def test_workers_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -242,6 +242,16 @@ class TestPivotOrder:
             allowed = set(rng.sample(cols, rng.randint(1, len(cols))))
             self.assert_same_elimination(rows, allowed)
 
+    def test_allowed_cols_with_unknown_labels(self):
+        # Labels the matrix never had select nothing, as in the rescan.
+        rng = random.Random(31)
+        for _ in range(50):
+            rows = self.tied_rows(rng)
+            cols = sorted({c for row in rows for c in row})
+            allowed = set(rng.sample(cols, rng.randint(0, len(cols))))
+            allowed |= {"c99", ("c1",), 1}
+            self.assert_same_elimination(rows, allowed)
+
     @pytest.mark.parametrize("modulus", [2, 3])
     def test_particle_identity_matrix(self, modulus):
         self.assert_same_elimination(

@@ -65,6 +65,10 @@ def cell_boundary(cell):
     return Chain(len(cell) - 1, {cell: 1}).boundary()
 
 
+def boundary_shift(a, sign, cell):
+    return a + cell_boundary(cell) if sign > 0 else a - cell_boundary(cell)
+
+
 class TestWalk:
     def test_inverse_pair_acts_twice_at_start(self):
         # +U then -U on the same cell: both act at the starting state
@@ -72,7 +76,7 @@ class TestWalk:
         # the walk ends where it began.
         start = Chain(0, {(1,): 1})
         cell = (0, 1)
-        rows = list(walk([(1, cell), (-1, cell)], start, cell_boundary))
+        rows = list(walk([(1, cell), (-1, cell)], start, boundary_shift))
         assert [(sign, c) for sign, c, _, _ in rows] == [(1, cell),
                                                          (-1, cell)]
         assert [acting for _, _, acting, _ in rows] == [start, start]
@@ -81,7 +85,7 @@ class TestWalk:
 
     def test_after_states_are_the_trace(self):
         initial = Chain(2, {(0, 1, 2): 1})
-        rows = list(walk(MU56, initial, cell_boundary))
+        rows = list(walk(MU56, initial, boundary_shift))
         states = trace(MU56, initial)
         assert len(rows) == 56
         assert rows[-1][3] == states[-1]

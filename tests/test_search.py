@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from chainphase.process import TJUNCTION
+from chainphase.process import TJUNCTION, walk
 from chainphase.search import (
     VACUUM_KEY,
     ReconstructError,
@@ -33,6 +34,30 @@ def particle():
 @pytest.fixture(scope="module")
 def particle3():
     return build_model(3, 0, 2)
+
+
+#: (N, p, d): the Z2 and Z3 particle models in d=2, the Z2 loop model.
+MODEL_SHAPES = [(2, 0, 2), (3, 0, 2), (2, 1, 3)]
+
+
+def shape_id(shape):
+    return "Z{}-p{}-d{}".format(*shape)
+
+
+def state_key(state):
+    return tuple(sorted(state.items()))
+
+
+def chain_expand_theta(word, a_key, model):
+    """Oracle: expand_theta stepping validated Chains by model.moves."""
+    def shift(a, sign, s):
+        return a + model.moves[s] if sign > 0 else a - model.moves[s]
+
+    expr = {}
+    for sign, s, acting, _ in walk(word, model.state(a_key), shift):
+        key = (s, state_key(acting))
+        expr[key] = expr.get(key, 0) + sign
+    return {k: v for k, v in expr.items() if v}
 
 
 def random_word(model, rng, length):
@@ -92,6 +117,15 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             build_model(2, 2, 2)
 
+    @pytest.mark.parametrize("shape", MODEL_SHAPES, ids=shape_id)
+    def test_step_table_is_move_arithmetic(self, shape):
+        model = build_model(*shape)
+        for a in model.configurations:
+            state = model.state(a)
+            for s, move in model.moves.items():
+                assert model.step(a, 1, s) == state_key(state + move)
+                assert model.step(a, -1, s) == state_key(state - move)
+
     def test_integer_group_rejected(self):
         with pytest.raises(ValueError):
             build_model(0, 0, 2)
@@ -100,6 +134,23 @@ class TestBuildModel:
 
 
 class TestExpandTheta:
+    def test_non_configuration_rejected(self, particle):
+        # A lone particle is not a boundary, hence not a configuration.
+        bad = (((0,), 1),)
+        with pytest.raises(ValueError, match=re.escape(f"{bad} is not")):
+            expand_theta(((1, particle.generators[0]),), bad, particle)
+
+    @pytest.mark.parametrize("shape", MODEL_SHAPES, ids=shape_id)
+    def test_matches_chain_walk_on_identity_words(self, shape):
+        # Every identity word at every configuration: same terms, same
+        # coefficients, same dict order as stepping validated Chains.
+        model = build_model(*shape)
+        for word in identity_words(model, 3):
+            for a in model.configurations:
+                got = expand_theta(word, a, model)
+                want = chain_expand_theta(word, a, model)
+                assert list(got.items()) == list(want.items())
+
     def test_single_forward_step(self, particle):
         s = particle.generators[0]
         assert expand_theta(((1, s),), VACUUM_KEY, particle) == {
@@ -193,7 +244,6 @@ class TestClassify:
         assert residual.shape[0] > 0
         assert log
 
-    @pytest.mark.slow
     def test_loop_torsion_is_z2(self):
         factors, _, _ = classify(build_model(2, 1, 3), 3)
         assert factors == [2]
