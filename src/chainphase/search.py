@@ -368,23 +368,20 @@ def lift_halved_expression(residual: SparseIntMatrix,
 
 # --- legality-constrained lifting (membrane stretch mode) ---------------
 
-def integer_lift(a_key, f: dict, p: int) -> Chain:
-    """Integer lift of a mod-2 configuration via the sign function f."""
-    return Chain(p, {t: f[t] * c for t, c in a_key}, 0)
-
-
 def is_legal_term(s, a_key, f: dict, model: ExcitationModel) -> bool:
     """Legality of theta(s, a): the moved integer state stays within f.
 
-    The lifted configuration plus the integer boundary of the moved
-    cell must take values in {0, f(t)} on every supporting simplex,
-    and the moving cell must contain vertex 0.
+    The lifted configuration (each mod-2 value c on t read as f(t) c)
+    plus the integer boundary of the moved cell must take values in
+    {0, f(t)} on every supporting simplex, and the moving cell must
+    contain vertex 0.
     """
     if 0 not in s:
         return False
-    lifted = integer_lift(a_key, f, model.p)
-    moved = lifted + Chain(model.p, dict(simplex_faces(s)), 0)
-    return all(v == f[t] for t, v in moved.items())
+    moved = {t: f[t] * c for t, c in a_key}
+    for t, sign in simplex_faces(s):
+        moved[t] = moved.get(t, 0) + sign
+    return all(v == f[t] for t, v in moved.items() if v)
 
 
 def legality_partition(matrix: SparseIntMatrix, f: dict,
@@ -419,16 +416,26 @@ def legality_search(model: ExcitationModel, attempts: int,
 
     State (trial count, RNG state, successes) persists in the
     checkpoint file, replaced atomically after every trial; rerunning
-    continues where the last run stopped.  A checkpoint that cannot be
-    read back raises ValueError, and so does a negative ``attempts``.
-    This is the batch-scale mode: a full membrane scan is a multi-hour
-    job and is not part of any test tier.
+    continues where the last run stopped.  The checkpoint's last key,
+    ``scan``, records the model, depth and seed ({"N", "p", "d",
+    "depth", "seed"}); resuming under any other value of one of them
+    raises ValueError naming the field, while a checkpoint without the
+    key resumes unchecked.  A checkpoint that cannot be read back raises
+    ValueError, and so does a negative ``attempts``.
+
+    A sign function fixes the illegal columns, so one call runs the
+    trial of each distinct sign vector once: a table of outcomes
+    (success and residual shape, never the residual itself) answers
+    every repeat.  The table is not saved; a resumed run rebuilds it
+    and returns the same result.  This is the batch-scale mode: a full
+    membrane scan is a multi-hour job and is not part of any test tier.
     """
     if model.modulus != 2:
         raise ValueError("legality lifting applies to the Z_2 model")
     if attempts < 0:
         raise ValueError(f"attempts must be >= 0, got {attempts}")
-    base = identity_matrix(model, max_depth)
+    scan = {"N": model.modulus, "p": model.p, "d": model.d,
+            "depth": max_depth, "seed": seed}
     rng = random.Random(seed)
     done = 0
     successes: list[dict] = []
@@ -439,18 +446,32 @@ def legality_search(model: ExcitationModel, attempts: int,
             done, successes = saved["done"], saved["successes"]
             rng.setstate((saved["rng"][0], tuple(saved["rng"][1]),
                           saved["rng"][2]))
+            saved_scan = saved.get("scan", scan)
+            mismatch = [f"its {k} is {saved_scan[k]!r}, not {v!r}"
+                        for k, v in scan.items() if saved_scan[k] != v]
         except (OSError, ValueError, LookupError, TypeError) as exc:
             raise ValueError(f"unreadable checkpoint {str(path)!r}: "
                              f"{exc!r}") from exc
+        if mismatch:
+            raise ValueError(f"checkpoint {str(path)!r} belongs to another "
+                             f"scan: {'; '.join(mismatch)}")
+    base = identity_matrix(model, max_depth)
+    # Sign vector (in combinations order) -> (success, residual shape):
+    # f fixes the illegal columns, so a repeated f repeats its trial.
+    outcomes: dict[tuple, tuple] = {}
     while done < attempts:
         f = random_sign_function(model, rng)
-        ok, residual = legality_attempt(base, f, model)
+        signs = tuple(f.values())
+        if signs not in outcomes:
+            ok, residual = legality_attempt(base, f, model)
+            outcomes[signs] = ok, residual.shape
+        ok, shape = outcomes[signs]
         done += 1
         if ok:
             successes.append({
                 "trial": done,
                 "f": {"".join(map(str, t)): v for t, v in sorted(f.items())},
-                "residual_shape": list(residual.shape),
+                "residual_shape": list(shape),
             })
         if path:
             # Temp file, then rename over: a kill leaves the old
@@ -461,6 +482,7 @@ def legality_search(model: ExcitationModel, attempts: int,
                 "done": done,
                 "successes": successes,
                 "rng": [state[0], list(state[1]), state[2]],
+                "scan": scan,
             }))
             os.replace(tmp, path)
     return {"attempts": done, "successes": successes}

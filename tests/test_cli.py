@@ -311,15 +311,35 @@ class TestSearch:
                          "--p", "0", "--d", "2", "--stretch-membrane",
                          "--attempts", "7", "--checkpoint", str(ck))
         assert code == 0
-        data = ck.read_bytes()
-        doc = json.loads(data)
+        doc = json.loads(ck.read_bytes())
         assert doc["done"] == 7
         assert doc["successes"] == [
             {"trial": trial, "f": {"0": 1, "1": 1, "2": 1, "3": 1},
              "residual_shape": [144, 6]} for trial in (2, 4, 7)]
-        # The whole document, the RNG state included.
-        assert hashlib.sha256(data).hexdigest() == (
+        # The scan's identity, written last ...
+        assert list(doc)[-1] == "scan"
+        assert doc.pop("scan") == {"N": 2, "p": 0, "d": 2, "depth": 3,
+                                   "seed": 5}
+        # ... and the rest of the document, the RNG state included,
+        # byte for byte as before the key existed.
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == (
             "6bf9d910a214e66e44d38fc22a4932e4766ce077000ced071d9f7076c915a865")
+
+    def test_checkpoint_of_another_scan_is_bad_input(self, capsys,
+                                                     tmp_path):
+        ck = tmp_path / "scan.json"
+        run(capsys, "--seed", "5", "search", "--G", "Z2", "--p", "0",
+            "--d", "2", "--stretch-membrane", "--attempts", "6",
+            "--checkpoint", str(ck))
+        before = ck.read_bytes()
+        code, out, err = run(capsys, "--seed", "9", "search", "--G", "Z2",
+                             "--p", "0", "--d", "3", "--stretch-membrane",
+                             "--attempts", "8", "--checkpoint", str(ck))
+        assert code == 2 and not out
+        assert str(ck) in err
+        assert "its d is 2, not 3" in err and "its seed is 5, not 9" in err
+        assert "Traceback" not in err
+        assert ck.read_bytes() == before
 
     def test_workers_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

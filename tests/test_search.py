@@ -1,3 +1,4 @@
+import json
 import random
 import re
 
@@ -14,7 +15,6 @@ from chainphase.search import (
     gen_identities,
     identity_matrix,
     identity_words,
-    integer_lift,
     inverse_word,
     is_legal_term,
     legality_attempt,
@@ -23,7 +23,8 @@ from chainphase.search import (
     random_sign_function,
     reconstruct_process,
 )
-from chainphase.simplicial import Phase
+from chainphase import search
+from chainphase.simplicial import Chain, Phase, simplex_faces
 
 
 @pytest.fixture(scope="module")
@@ -312,13 +313,45 @@ class TestReconstruct:
             reconstruct_process({(s, bad): 2}, particle)
 
 
-class TestLegality:
-    def test_integer_lift_uses_signs(self, particle):
-        key = (((0,), 1), ((1,), 1))
-        f = {(0,): 1, (1,): -1, (2,): 1, (3,): 1}
-        lifted = integer_lift(key, f, 0)
-        assert dict(lifted.items()) == {(0,): 1, (1,): -1}
+def chain_is_legal_term(s, a_key, f, model):
+    """Oracle: term legality on validated integer Chains, the mod-2
+    configuration lifted through the signs of f."""
+    if 0 not in s:
+        return False
+    lifted = Chain(model.p, {t: f[t] * c for t, c in a_key}, 0)
+    moved = lifted + Chain(model.p, dict(simplex_faces(s)), 0)
+    return all(v == f[t] for t, v in moved.items())
 
+
+def oracle_legality_search(model, attempts, seed, max_depth=3):
+    """Oracle: the scan with one legality_attempt per trial and no
+    outcome table; returns (result, final checkpoint document without
+    its ``scan`` key)."""
+    base = identity_matrix(model, max_depth)
+    rng = random.Random(seed)
+    successes = []
+    for trial in range(1, attempts + 1):
+        f = random_sign_function(model, rng)
+        ok, residual = legality_attempt(base, f, model)
+        if ok:
+            successes.append({
+                "trial": trial,
+                "f": {"".join(map(str, t)): v for t, v in sorted(f.items())},
+                "residual_shape": list(residual.shape),
+            })
+    state = rng.getstate()
+    return ({"attempts": attempts, "successes": successes},
+            {"done": attempts, "successes": successes,
+             "rng": [state[0], list(state[1]), state[2]]})
+
+
+def distinct_sign_vectors(model, attempts, seed):
+    rng = random.Random(seed)
+    return {tuple(random_sign_function(model, rng).values())
+            for _ in range(attempts)}
+
+
+class TestLegality:
     def test_term_legality_semantics(self, particle):
         f = {(v,): 1 for v in range(4)}
         # Moving 01 from the vacuum drives vertex 0 to -1: illegal.
@@ -330,6 +363,23 @@ class TestLegality:
         assert not is_legal_term((1, 2), occupied, f, particle)
         # Hopping 0 -> 2 via the 02 edge stays within f everywhere.
         assert is_legal_term((0, 2), occupied, f, particle)
+        # With f(0) = -1 the particle at 0 lifts to -1, and the same
+        # hop drives vertex 0 to -2.
+        assert not is_legal_term((0, 1), occupied, {**f, (0,): -1},
+                                 particle)
+
+    @pytest.mark.parametrize("shape", [(2, 0, 2), (2, 0, 3), (2, 1, 3)],
+                             ids=shape_id)
+    def test_matches_chain_oracle(self, shape):
+        # Every identity-matrix column, under ten fixed-seed f.
+        model = build_model(*shape)
+        columns = identity_matrix(model, 3).columns()
+        rng = random.Random(17)
+        for _ in range(10):
+            f = random_sign_function(model, rng)
+            for s, a_key in columns:
+                assert is_legal_term(s, a_key, f, model) \
+                    == chain_is_legal_term(s, a_key, f, model)
 
     def test_sign_function_domain(self, particle):
         f = random_sign_function(particle, random.Random(1))
@@ -358,3 +408,76 @@ class TestLegality:
         fresh = legality_search(particle, attempts=3, seed=9)
         assert more["attempts"] == 3
         assert more["successes"] == fresh["successes"]
+
+    @pytest.mark.parametrize("shape,attempts,seed",
+                             [((2, 0, 2), 40, 4), ((2, 0, 3), 12, 3)],
+                             ids=["Z2-p0-d2", "Z2-p0-d3"])
+    def test_matches_one_attempt_per_trial(self, shape, attempts, seed,
+                                           tmp_path):
+        model = build_model(*shape)
+        # Both scans repeat some sign functions.
+        assert len(distinct_sign_vectors(model, attempts, seed)) < attempts
+        ck = tmp_path / "scan.json"
+        got = legality_search(model, attempts, checkpoint=ck, seed=seed)
+        want, want_doc = oracle_legality_search(model, attempts, seed)
+        assert got == want
+        doc = json.loads(ck.read_text())
+        N, p, d = shape
+        assert doc.pop("scan") == {"N": N, "p": p, "d": d, "depth": 3,
+                                   "seed": seed}
+        assert doc == want_doc
+
+    def test_one_attempt_per_distinct_sign_vector(self, particle,
+                                                  monkeypatch):
+        calls = []
+        real = search.legality_attempt
+
+        def counting(base, f, model):
+            calls.append(tuple(f.values()))
+            return real(base, f, model)
+
+        monkeypatch.setattr(search, "legality_attempt", counting)
+        legality_search(particle, attempts=40, seed=4)
+        distinct = distinct_sign_vectors(particle, 40, 4)
+        assert len(calls) == len(set(calls)) == len(distinct) < 40
+        assert set(calls) == distinct
+
+    def test_stopped_scan_resumes_to_the_same_bytes(self, particle,
+                                                    tmp_path):
+        # The outcome table starts empty again on resume.
+        stopped, whole = tmp_path / "stopped.json", tmp_path / "whole.json"
+        assert legality_search(particle, 5, checkpoint=stopped,
+                               seed=11)["attempts"] == 5
+        resumed = legality_search(particle, 12, checkpoint=stopped, seed=11)
+        assert resumed == legality_search(particle, 12, checkpoint=whole,
+                                          seed=11)
+        assert stopped.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("field,model_shape,kwargs", [
+        ("d", (2, 0, 3), {"seed": 5}),
+        ("p", (2, 1, 3), {"seed": 5}),
+        ("seed", (2, 0, 2), {"seed": 6}),
+        ("depth", (2, 0, 2), {"seed": 5, "max_depth": 2}),
+    ])
+    def test_checkpoint_of_another_scan_rejected(self, particle, tmp_path,
+                                                 field, model_shape,
+                                                 kwargs):
+        ck = tmp_path / "scan.json"
+        legality_search(particle, attempts=3, checkpoint=ck, seed=5)
+        before = ck.read_bytes()
+        with pytest.raises(ValueError, match=f"another scan: its {field} "):
+            legality_search(build_model(*model_shape), attempts=4,
+                            checkpoint=ck, **kwargs)
+        assert ck.read_bytes() == before
+
+    def test_checkpoint_without_scan_key_resumes(self, particle, tmp_path):
+        # A checkpoint written before the key existed resumes unchecked.
+        old, whole = tmp_path / "old.json", tmp_path / "whole.json"
+        legality_search(particle, attempts=4, checkpoint=old, seed=7)
+        doc = json.loads(old.read_text())
+        del doc["scan"]
+        old.write_text(json.dumps(doc))
+        resumed = legality_search(particle, 9, checkpoint=old, seed=7)
+        assert resumed == legality_search(particle, 9, checkpoint=whole,
+                                          seed=7)
+        assert old.read_bytes() == whole.read_bytes()
