@@ -9,17 +9,19 @@ coboundary) on the sub-simplex picked out by ``positions`` inside the
 top cell.  All products are taken over the integer lifts of the input
 and only the final total is divided down to a phase.
 
-The first density an action computes compiles its term list into
-index form (``_compile_terms``): each factor becomes an index into a
+The first density an action computes compiles its term list into a
+factor tree (``_compile_terms``): each factor becomes an index into a
 value vector holding the input on the top cell's degree-n faces, in
 ascending order, followed by its coboundary on the faces the
-delta-factors name.  Every later density reads the input once into
-that vector and multiplies by index.
+delta-factors name, and the terms become a prefix tree over those
+indices, so terms that share leading factors share one multiplication
+and one zero test.  ``face_density`` evaluates the tree on a plain list
+of face values; ``density`` and every hop of ``boundary`` call it.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .cups import cup_k_terms
 from .fileio import load_term_file
@@ -76,22 +78,26 @@ def _p1_action_terms(q: int) -> tuple:
 
 
 def _compile_terms(terms, degree: int, spacetime: int):
-    """Index form (delta_rows, table) of a positional term list.
+    """Index form (delta_rows, tree) of a positional term list.
 
     Face i < C(D+1, n+1) is the i-th degree-n face of the top simplex
     <0..D> in ascending order; entry C(D+1, n+1) + j of the value
     vector is the coboundary on the (n+1)-face of ``delta_rows[j]``,
-    stored as the (sign, face index) pairs of its facets.  Each table
-    row is (coefficient, value-vector indices of its factors).
+    stored as the (sign, face index) pairs of its facets.  The terms
+    become a prefix tree over their factors' value-vector indices:
+    each node is a tuple of (index, coefficient of the terms that end
+    there, subtree of the terms that go on), so terms sharing leading
+    factors share their multiplications and zero tests.
 
-    >>> _compile_terms(((1, ((False, (0, 1)), (True, (1, 2, 3)))),), 1, 3)
-    ((((1, 5), (-1, 4), (1, 3)),), ((1, (0, 6)),))
+    >>> _compile_terms(((1, ((False, (0, 1)), (True, (1, 2, 3)))),
+    ...                 (2, ((False, (0, 1)), (False, (2, 3))))), 1, 3)
+    ((((1, 5), (-1, 4), (1, 3)),), ((0, 0, ((5, 2, ()), (6, 1, ()))),))
     """
     index = {f: i for i, f in
              enumerate(combinations(range(spacetime + 1), degree + 1))}
     delta_at: dict[tuple[int, ...], int] = {}
     delta_rows = []
-    table = []
+    rows = []
     for coef, factors in terms:
         idx = []
         for use_delta, positions in factors:
@@ -105,8 +111,33 @@ def _compile_terms(terms, degree: int, spacetime: int):
                     (sign, index[face])
                     for face, sign in simplex_faces(positions)))
             idx.append(delta_at[positions])
-        table.append((coef, tuple(idx)))
-    return tuple(delta_rows), tuple(table)
+        rows.append((tuple(idx), coef))
+    rows.sort()
+    return tuple(delta_rows), _tree(rows)
+
+
+def _tree(rows) -> tuple:
+    """Prefix tree of (indices, coefficient) rows sorted by indices."""
+    tree = []
+    for i, group in groupby(rows, key=lambda row: row[0][0]):
+        coef, rest = 0, []
+        for idx, c in group:
+            if len(idx) == 1:
+                coef += c
+            else:
+                rest.append((idx[1:], c))
+        tree.append((i, coef, _tree(rest)))
+    return tuple(tree)
+
+
+def _tree_sum(tree, v) -> int:
+    """Sum of coefficient times factor product over a term tree."""
+    total = 0
+    for i, coef, sub in tree:
+        x = v[i]
+        if x:
+            total += x * (coef + _tree_sum(sub, v)) if sub else x * coef
+    return total
 
 
 class ActionFunctional:
@@ -144,32 +175,26 @@ class ActionFunctional:
             raise ValueError(
                 f"{self.name} wants a degree-{self.degree} cochain, "
                 f"got degree {B.degree}")
+        return self.face_density(
+            B.values_on(combinations(s, self.degree + 1)))
+
+    def face_density(self, values) -> int:
+        """Density from the input's values on the degree-n faces of a
+        top simplex, in ascending order, with no validation: the
+        vector kernel behind ``density`` and every hop."""
         if self._compiled is None:
             self._compiled = _compile_terms(self.terms, self.degree,
                                            self.spacetime)
-        delta_rows, table = self._compiled
-        v = B.values_on(combinations(s, self.degree + 1))
-        v += [sum(sign * v[i] for sign, i in row) for row in delta_rows]
-        total = 0
-        for coef, idx in table:
-            prod = coef
-            for i in idx:
-                prod *= v[i]
-                if not prod:
-                    break
-            total += prod
-        return total
+        delta_rows, tree = self._compiled
+        if delta_rows:
+            values = list(values)
+            values += [sum(sign * values[i] for sign, i in row)
+                       for row in delta_rows]
+        return _tree_sum(tree, values)
 
     def phase(self, B: Cochain, s) -> Phase:
         """Action phase on one top simplex, exact in Q/Z."""
         return Phase(self.density(B, s), self.divisor)
-
-    def integral(self, B: Cochain, complex) -> Phase:
-        """Signed sum of the action phase over the complex's top cells."""
-        total = 0
-        for cell, sign in complex.top_cells:
-            total += sign * self.density(B, cell)
-        return Phase(total, self.divisor)
 
 
 def _require(name, N, ok, why):

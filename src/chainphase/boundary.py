@@ -22,6 +22,12 @@ usually written, in every spacetime dimension D:
     delta Phi_cone[b] = T[delta b]
     delta Theta[B, h] = T[B + delta h] - T[B]    (B closed)
 
+A hop (``modified_excitation_phase``, and ``cylinder_theta``) is index
+arithmetic over one geometry compiled per (k, n), ``_HopGeometry``:
+it checks its arguments once, reads b (or B) and h on the faces of
+s, fills a dense prism vector and sums the action's factor tree over
+the prism's top cells, building no ``Cochain`` on the way.
+
 The local densities ``boundary_symmetry_phase`` and
 ``explicit_hopping_phase`` are specific to the six-dimensional cubic
 theory, where the boundary degrees of freedom have degree one.
@@ -30,6 +36,7 @@ theory, where the boundary degrees of freedom have degree one.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 
 from .actions import ActionFunctional
 from .simplicial import (Cochain, Phase, StandardComplex, check_simplex,
@@ -81,60 +88,106 @@ def cylinder_theta(action: ActionFunctional, B: Cochain, h: Cochain,
     the sign ``StandardComplex.cylinder`` gives it.  Then
     delta Theta[B, h] = T[B + delta h] - T[B] for closed B in every D.
     """
-    s = check_simplex(s)
-    k = action.spacetime - 1
-    if len(s) != k + 1:
-        raise ValueError(f"cylinder base must be a {k}-simplex, got {s}")
-    if B.degree != action.degree or h.degree != action.degree - 1:
-        raise ValueError("cochain degrees do not match the action")
-    n = action.degree
-    cyl, lifts, columns = _prism(k, n)
-    base = B.values_on(combinations(s, n + 1))
-    values = {t: base[i] for t, i in lifts if base[i]}
-    pos = {v: i for i, v in enumerate(s)}
-    for t, c in h.items():
-        if all(v in pos for v in t):
-            for u, sign in columns[tuple(pos[v] for v in t)]:
-                values[u] = values.get(u, 0) + sign * c
-    phase = action.integral(Cochain(n, values, 0), cyl)
-    return -phase if action.spacetime % 2 else phase
-
-
-_PRISMS: dict[tuple[int, int], tuple] = {}
-
-
-def _prism(k: int, n: int):
-    """The prism Delta_k x I with its per-hop geometry, built once.
-
-    Returns (cyl, lifts, columns).  ``lifts`` pairs every degree-n
-    prism simplex that does not degenerate under ``cylinder_project``
-    with the index of its image among the degree-n faces of Delta_k in
-    ascending (``combinations``) order, so one read of B on the faces
-    of the base serves every lift.  ``columns`` maps each (n-1)-face
-    of Delta_k to the prism coboundary of its bottom copy, as
-    (simplex, sign) pairs.
-    """
-    if (k, n) not in _PRISMS:
-        cyl = StandardComplex.cylinder(k)
-        index = {f: i for i, f in
-                 enumerate(combinations(range(k + 1), n + 1))}
-        lifts = []
-        for t in cyl.simplices(n):
-            base = cylinder_project(t)
-            if base is not None:
-                lifts.append((t, index[base]))
-        columns = {}
-        for f in combinations(range(k + 1), n):
-            bottom = Cochain(n - 1, {tuple(2 * v for v in f): 1})
-            columns[f] = tuple(bottom.coboundary(cyl).items())
-        _PRISMS[k, n] = cyl, tuple(lifts), columns
-    return _PRISMS[k, n]
+    s, hop = _hop_args(action, s, B.degree, h)
+    base = B.values_on(combinations(s, action.degree + 1))
+    return Phase(hop.theta(action, base, h.values_on(
+        combinations(s, action.degree))), action.divisor)
 
 
 def modified_excitation_phase(action: ActionFunctional, b: Cochain,
                               h: Cochain, s) -> Phase:
     """Phase attached to one hop: minus Theta of (coboundary of b, h)."""
-    return -cylinder_theta(action, delta_on(b, s), h, s)
+    s, hop = _hop_args(action, s, b.degree + 1, h)
+    faces = list(combinations(s, action.degree))
+    base = [0] * len(hop.lifts)
+    for x, cofaces in zip(b.values_on(faces), hop.cofaces):
+        if x:
+            for i, sign in cofaces:
+                base[i] += sign * x
+    return Phase(-hop.theta(action, base, h.values_on(faces)),
+                 action.divisor)
+
+
+def _hop_args(action: ActionFunctional, s, degree: int, h: Cochain):
+    """Check one hop's arguments; return s and the compiled geometry."""
+    s = check_simplex(s)
+    k = action.spacetime - 1
+    if len(s) != k + 1:
+        raise ValueError(f"cylinder base must be a {k}-simplex, got {s}")
+    if degree != action.degree or h.degree != action.degree - 1:
+        raise ValueError("cochain degrees do not match the action")
+    key = (k, action.degree)
+    if key not in _HOPS:
+        _HOPS[key] = _HopGeometry(*key)
+    return s, _HOPS[key]
+
+
+class _HopGeometry:
+    """Index tables of a hop over the prism Delta_k x I for degree-n
+    actions, built once per (k, n).
+
+    Faces of Delta_k are numbered in ascending (``combinations``)
+    order, and the prism's degree-n simplices in ``simplices`` order,
+    which numbers the entries of a dense prism vector.
+
+    * ``cofaces[j]``: the coboundary of the j-th (n-1)-face, as
+      (n-face index, sign) pairs;
+    * ``lifts[i]``: the prism simplices that project onto the i-th
+      n-face without degenerating;
+    * ``columns[j]``: the prism coboundary of the bottom copy of the
+      j-th (n-1)-face, as (prism index, sign) pairs;
+    * ``cells``: per top cell of the prism, its orientation sign and a
+      getter of its n-faces from the prism vector, in ascending order.
+    """
+
+    __slots__ = ("size", "cofaces", "lifts", "columns", "cells")
+
+    def __init__(self, k: int, n: int):
+        cyl = StandardComplex.cylinder(k)
+        prism = {t: u for u, t in enumerate(cyl.simplices(n))}
+        index = {f: i for i, f in
+                 enumerate(combinations(range(k + 1), n + 1))}
+        lifts = [[] for _ in index]
+        for t, u in prism.items():
+            base = cylinder_project(t)
+            if base is not None:
+                lifts[index[base]].append(u)
+        simplex = StandardComplex.simplex(k)
+        self.size = len(prism)
+        self.cofaces = []
+        self.columns = []
+        for f in combinations(range(k + 1), n):
+            self.cofaces.append(tuple(
+                (index[t], sign) for t, sign in
+                Cochain(n - 1, {f: 1}).coboundary(simplex).items()))
+            bottom = Cochain(n - 1, {tuple(2 * v for v in f): 1})
+            self.columns.append(tuple(
+                (prism[t], sign)
+                for t, sign in bottom.coboundary(cyl).items()))
+        self.lifts = [tuple(us) for us in lifts]
+        # The prism's orientation differs from the cylinder's by (-1)^D.
+        flip = -1 if (k + 1) % 2 else 1
+        self.cells = [(flip * sign, itemgetter(*(
+            prism[t] for t in combinations(cell, n + 1))))
+            for cell, sign in cyl.top_cells]
+
+    def theta(self, action: ActionFunctional, base, hvals) -> int:
+        """Integer total of Theta from B on the n-faces of the base
+        and h on its (n-1)-faces, both in ascending order."""
+        vec = [0] * self.size
+        for x, us in zip(base, self.lifts):
+            if x:
+                for u in us:
+                    vec[u] = x
+        for c, column in zip(hvals, self.columns):
+            if c:
+                for u, sign in column:
+                    vec[u] += sign * c
+        density = action.face_density
+        return sum(sign * density(faces(vec)) for sign, faces in self.cells)
+
+
+_HOPS: dict[tuple[int, int], _HopGeometry] = {}
 
 
 def boundary_action_phase(b: Cochain, N: int, s) -> Phase:

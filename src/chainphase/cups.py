@@ -76,14 +76,18 @@ def cup_k_value(c: Cochain, d: Cochain, k: int, s) -> int:
     if len(s) != p + q - k + 1:
         raise ValueError(f"simplex {s} has wrong size for cup-{k} "
                          f"of degrees ({p}, {q})")
-    # Position subsequences of the checked s are ascending simplices,
-    # so the factors are read without validating them again: the same
+    return _cup_k_sum(c, d, cup_k_terms(p, q, k), s)
+
+
+def _cup_k_sum(c: Cochain, d: Cochain, terms, s) -> int:
+    # Position subsequences of a valid s are ascending simplices, so
+    # the factors are read without validating them again: the same
     # unchecked dict.get as Cochain.values_on, one face at a time so
     # that d is read only where c is nonzero.
     at = s.__getitem__
     cget, dget = c._data.get, d._data.get
     total = 0
-    for sign, left, right in cup_k_terms(p, q, k):
+    for sign, left, right in terms:
         cv = cget(tuple(map(at, left)), 0)
         if cv:
             total += sign * cv * dget(tuple(map(at, right)), 0)
@@ -101,12 +105,15 @@ def cup_k_cochain(c: Cochain, d: Cochain, k: int,
     if c.modulus != d.modulus:
         raise ValueError("modulus mismatch")
     degree = c.degree + d.degree - k
+    terms = cup_k_terms(c.degree, d.degree, k)
     values = {}
+    # cup_k_terms rejects an undefined k, and the complex's simplices
+    # are valid and of the right size.
     for s in complex.simplices(degree):
-        v = cup_k_value(c, d, k, s)
+        v = _cup_k_sum(c, d, terms, s)
         if v:
             values[s] = v
-    return Cochain(degree, values, c.modulus)
+    return Cochain._from_valid(degree, values, c.modulus)
 
 
 def cup_cochain(c: Cochain, d: Cochain, complex: StandardComplex) -> Cochain:

@@ -4,6 +4,8 @@ Cochains and chains travel as JSON documents with integer fields
 ``modulus`` and ``degree`` plus a map ``values`` (cochains) or
 ``terms`` (chains) from comma-separated ascending vertex lists to
 integers, e.g. ``{"degree": 1, "modulus": 3, "values": {"0,2": 1}}``.
+Those integers must be JSON integers: a float, string or boolean is
+rejected, never rounded or converted.
 
 Process files are plain text, one step per line: a ``+`` or ``-``
 followed by the ascending vertex ids of the moved cell, whitespace
@@ -23,13 +25,26 @@ def _parse_key(key: str) -> tuple[int, ...]:
     return tuple(int(x) for x in key.split(","))
 
 
-def _parse_sparse(doc: dict, field: str):
+def _json_int(value, what: str) -> int:
+    # JSON true/false load as bools, which Python counts as ints.
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, "
+                         f"got {json.dumps(value)}")
+    return value
+
+
+def _parse_sparse(doc, field: str):
+    if not isinstance(doc, dict):
+        raise ValueError("document must be a JSON object")
     for want in ("degree", field):
         if want not in doc:
             raise ValueError(f"document lacks required field {want!r}")
-    degree = int(doc["degree"])
-    modulus = int(doc.get("modulus", 0))
-    data = {_parse_key(k): int(v) for k, v in doc[field].items()}
+    if not isinstance(doc[field], dict):
+        raise ValueError(f"field {field!r} must be a JSON object")
+    degree = _json_int(doc["degree"], "degree")
+    modulus = _json_int(doc.get("modulus", 0), "modulus")
+    data = {_parse_key(k): _json_int(v, f"{field} entry {k!r}")
+            for k, v in doc[field].items()}
     return degree, data, modulus
 
 

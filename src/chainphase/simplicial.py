@@ -25,9 +25,9 @@ def check_simplex(vertices) -> tuple[int, ...]:
     t = tuple(vertices)
     if not t:
         raise ValueError("empty simplex")
-    if any(v < 0 for v in t):
+    if min(t) < 0:
         raise ValueError(f"negative vertex id in {t}")
-    if any(a >= b for a, b in zip(t, t[1:])):
+    if t != tuple(sorted(set(t))):
         raise ValueError(f"vertices not strictly increasing: {t}")
     return t
 
@@ -115,9 +115,16 @@ class Phase:
         return f"{self.num}/{self.den}"
 
 
-def _normalize(degree: int, items, modulus: int) -> dict:
+def _reduce(data: dict, modulus: int) -> dict:
+    """Reduce a simplex -> int map mod N (N > 0) and drop its zeros."""
     if modulus < 0:
         raise ValueError("modulus must be >= 0")
+    if modulus:
+        return {t: r for t, c in data.items() if (r := c % modulus)}
+    return {t: c for t, c in data.items() if c}
+
+
+def _normalize(degree: int, items, modulus: int) -> dict:
     out: dict[tuple[int, ...], int] = {}
     pairs = items.items() if isinstance(items, Mapping) else items
     for t, coeff in pairs:
@@ -125,9 +132,7 @@ def _normalize(degree: int, items, modulus: int) -> dict:
         if len(t) - 1 != degree:
             raise ValueError(f"simplex {t} does not have degree {degree}")
         out[t] = out.get(t, 0) + coeff
-    if modulus:
-        out = {t: c % modulus for t, c in out.items()}
-    return {t: c for t, c in out.items() if c}
+    return _reduce(out, modulus)
 
 
 class _SparseMap:
@@ -139,6 +144,16 @@ class _SparseMap:
         self.degree = degree
         self.modulus = modulus
         self._data = _normalize(degree, items, modulus)
+
+    @classmethod
+    def _from_valid(cls, degree: int, data: dict, modulus: int):
+        """Wrap a map whose keys are already valid degree-n simplices:
+        reduce and drop zeros, but check no key again."""
+        out = cls.__new__(cls)
+        out.degree = degree
+        out.modulus = modulus
+        out._data = _reduce(data, modulus)
+        return out
 
     def items(self):
         return self._data.items()
@@ -170,27 +185,27 @@ class _SparseMap:
         merged = dict(self._data)
         for t, c in other._data.items():
             merged[t] = merged.get(t, 0) + c
-        return type(self)(self.degree, merged, self.modulus)
+        return self._from_valid(self.degree, merged, self.modulus)
 
     def __sub__(self, other):
         self._check_compatible(other)
         merged = dict(self._data)
         for t, c in other._data.items():
             merged[t] = merged.get(t, 0) - c
-        return type(self)(self.degree, merged, self.modulus)
+        return self._from_valid(self.degree, merged, self.modulus)
 
     def __neg__(self):
-        return type(self)(self.degree,
-                          {t: -c for t, c in self._data.items()},
-                          self.modulus)
+        return self._from_valid(
+            self.degree, {t: -c for t, c in self._data.items()},
+            self.modulus)
 
     def scale(self, k: int):
-        return type(self)(self.degree,
-                          {t: k * c for t, c in self._data.items()},
-                          self.modulus)
+        return self._from_valid(
+            self.degree, {t: k * c for t, c in self._data.items()},
+            self.modulus)
 
     def with_modulus(self, modulus: int):
-        return type(self)(self.degree, dict(self._data), modulus)
+        return self._from_valid(self.degree, self._data, modulus)
 
     def __repr__(self):
         body = " ".join(f"{c:+d}*{''.join(map(str, t))}"
@@ -217,7 +232,7 @@ class Chain(_SparseMap):
         for t, c in self._data.items():
             for face, sign in simplex_faces(t):
                 out[face] = out.get(face, 0) + sign * c
-        return Chain(self.degree - 1, out, self.modulus)
+        return Chain._from_valid(self.degree - 1, out, self.modulus)
 
 
 class Cochain(_SparseMap):
@@ -261,15 +276,19 @@ class Cochain(_SparseMap):
         if self.degree + 1 > complex.dimension:
             raise ValueError("coboundary would exceed complex dimension")
         out: dict[tuple[int, ...], int] = {}
-        verts = complex.vertices
+        cells = [set(cell) for cell, _ in complex.top_cells]
         for t, c in self._data.items():
-            for v in verts:
-                if v in t:
-                    continue
+            # t + v is a simplex of the complex exactly when some top
+            # cell holds both t and v.
+            face = set(t)
+            around = set()
+            for cell in cells:
+                if face <= cell:
+                    around |= cell
+            for v in sorted(around - face):
                 coface, sign = insert_vertex(t, v)
-                if complex.has_simplex(coface):
-                    out[coface] = out.get(coface, 0) + sign * c
-        return Cochain(self.degree + 1, out, self.modulus)
+                out[coface] = out.get(coface, 0) + sign * c
+        return Cochain._from_valid(self.degree + 1, out, self.modulus)
 
 
 class StandardComplex:
@@ -318,10 +337,6 @@ class StandardComplex:
     @property
     def dimension(self) -> int:
         return len(self.top_cells[0][0]) - 1
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted({v for cell, _ in self.top_cells for v in cell}))
 
     def has_simplex(self, t) -> bool:
         t = set(check_simplex(t))

@@ -6,6 +6,7 @@ import pytest
 from chainphase.actions import ActionFunctional, action_names, get_action
 from chainphase.boundary import delta_on
 from chainphase.simplicial import Cochain, Phase, StandardComplex
+from oracles import positional_density
 
 
 def rand_cochain(rng, deg, verts, span=3):
@@ -13,17 +14,10 @@ def rand_cochain(rng, deg, verts, span=3):
                          for t in itertools.combinations(verts, deg + 1)})
 
 
-def positional_density(action, B, s):
-    """Oracle: the term list read factor by factor through the validated
-    ``Cochain.value`` and ``on_boundary``, with no index tables."""
-    total = 0
-    for coef, factors in action.terms:
-        prod = coef
-        for use_delta, positions in factors:
-            sub = tuple(s[i] for i in positions)
-            prod *= B.on_boundary(sub) if use_delta else B.value(sub)
-        total += prod
-    return total
+def integral(action, B, complex):
+    """Signed sum of the action phase over the complex's top cells."""
+    return Phase(sum(sign * action.density(B, cell)
+                     for cell, sign in complex.top_cells), action.divisor)
 
 
 class TestRegistry:
@@ -116,6 +110,27 @@ class TestCompiledDensity:
                 seen.append(got)
         assert any(seen)
 
+    def test_factor_tree_with_shared_prefixes(self):
+        # Terms of different lengths sharing leading factors, a term
+        # that is a prefix of others, a repeated term and a delta-factor:
+        # the registry's term lists have none of these shapes.
+        terms = ((2, ((False, (0, 1, 2)),)),
+                 (3, ((False, (0, 1, 2)), (False, (2, 3, 4)))),
+                 (-1, ((False, (0, 1, 2)), (False, (2, 3, 4)),
+                       (True, (0, 1, 3, 4)))),
+                 (5, ((False, (0, 1, 2)), (False, (2, 3, 4)))),
+                 (1, ((True, (1, 2, 3, 4)), (False, (0, 1, 2)))))
+        action = ActionFunctional("toy", 2, 4, 3, 3, terms)
+        rng = random.Random("tree")
+        seen = []
+        for _ in range(20):
+            s = tuple(sorted(rng.sample(range(8), 5)))
+            B = rand_cochain(rng, 2, range(8))
+            got = action.density(B, s)
+            assert got == positional_density(action, B, s)
+            seen.append(got)
+        assert any(seen)
+
 
 class TestClosedForms:
     # Independent closed-form oracles for the hand-sized densities.
@@ -182,9 +197,9 @@ class TestIntegral:
         action = get_action("cube3", 3)
         for _ in range(5):
             B = rand_cochain(rng, 2, range(8), span=2)
-            manual = sum(sign * action.density(B, cell)
+            manual = sum(sign * positional_density(action, B, cell)
                          for cell, sign in complex.top_cells)
-            assert action.integral(B, complex) == Phase(manual, 3)
+            assert integral(action, B, complex) == Phase(manual, 3)
 
     def test_exact_input_integrates_to_zero(self):
         # Stokes check on the boundary sphere: the cubic action of an
@@ -194,4 +209,4 @@ class TestIntegral:
         action = get_action("cube3", 5)
         for _ in range(5):
             B = delta_on(rand_cochain(rng, 1, range(8)), tuple(range(8)))
-            assert action.integral(B, complex) == Phase(0, 1)
+            assert integral(action, B, complex) == Phase(0, 1)

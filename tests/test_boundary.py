@@ -14,8 +14,8 @@ from chainphase.boundary import (
     explicit_hopping_phase,
     modified_excitation_phase,
 )
-from chainphase.simplicial import (Cochain, Phase, StandardComplex,
-                                   cylinder_project)
+from chainphase.simplicial import Cochain, Phase
+from oracles import per_hop_cylinder_theta
 
 
 def rand_cochain(rng, deg, verts, span=3):
@@ -39,25 +39,6 @@ def theta_closed_form(B, h, N, s):
              + g(0, 1, 2) * hv(2, 3) * b(3, 4, 5)
              + hv(0, 1) * b(1, 2, 3) * b(3, 4, 5))
     return Phase(total, N)
-
-
-def per_hop_cylinder_theta(action, B, h, s):
-    """Oracle: Theta with the prism, its simplices and the coboundary
-    of h all built afresh for this one call."""
-    cyl = StandardComplex.cylinder(action.spacetime - 1)
-    pos = {v: i for i, v in enumerate(s)}
-    bottom = {tuple(2 * pos[v] for v in t): c for t, c in h.items()
-              if all(v in pos for v in t)}
-    delta_h = Cochain(h.degree, bottom).coboundary(cyl)
-    values = {}
-    for t in cyl.simplices(action.degree):
-        v = delta_h.value(t)
-        base = cylinder_project(t)
-        if base is not None:
-            v += B.value(tuple(s[i] for i in base))
-        values[t] = v
-    phase = action.integral(Cochain(action.degree, values), cyl)
-    return -phase if action.spacetime % 2 else phase
 
 
 class TestDeltaOn:
@@ -239,6 +220,30 @@ class TestCylinderTheta:
             assert got == per_hop_cylinder_theta(action, B, h, s)
             seen.append(got)
         assert any(seen)
+
+    @pytest.mark.parametrize("name", action_names())
+    def test_hop_matches_per_hop_prism(self, name):
+        # The hop's own coboundary table against delta_on and the
+        # prism oracle, with the same large divisor; b integer or mod N.
+        a = get_action(name)
+        action = ActionFunctional(a.name, a.degree, a.spacetime, a.modulus,
+                                  1_000_000_007, a.terms)
+        k = action.spacetime - 1
+        rng = random.Random(f"hop:{name}")
+        seen = []
+        for modulus in (0, action.modulus, 0):
+            verts = sorted(rng.sample(range(k + 5), k + 3))
+            s = tuple(sorted(rng.sample(verts, k + 1)))
+            b = rand_cochain(rng, action.degree - 1, verts)
+            b = b.with_modulus(modulus)
+            h = rand_cochain(rng, action.degree - 1, verts)
+            got = modified_excitation_phase(action, b, h, s)
+            assert got == -per_hop_cylinder_theta(action, delta_on(b, s),
+                                                  h, s)
+            seen.append(got)
+        # A hop's prism cochain is exact, so cs-b3 (B cup delta B)
+        # reads 0 there.
+        assert any(seen) == (name != "cs-b3")
 
     def test_matches_printed_expansion(self):
         # The cubic theory's Theta on one 5-simplex equals the explicit

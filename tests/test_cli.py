@@ -132,6 +132,36 @@ class TestEval:
         assert code == 2
 
 
+    @pytest.mark.parametrize("doc,field", [
+        ({"degree": 1, "values": {"0,1": 1.5}}, "values"),
+        ({"degree": 1, "values": {"0,1": "1"}}, "values"),
+        ({"degree": 1, "values": {"0,1": True}}, "values"),
+        ({"degree": 1, "modulus": 3.5, "values": {"0,1": 1}}, "modulus"),
+        ({"degree": "1", "values": {"0,1": 1}}, "degree"),
+    ])
+    def test_initial_needs_json_integers(self, capsys, tmp_path, doc,
+                                         field):
+        # Each document used to be truncated or converted to a valid
+        # state, and a phase was printed for a state nobody gave.
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "eval", "--action", "particle-quad",
+                             "--N", "3", "--process", "tjunction",
+                             "--initial", str(f))
+        assert code == 2 and not out
+        assert "bad initial state file" in err and field in err
+        assert "JSON integer" in err
+
+    def test_initial_state_file(self, capsys, tmp_path):
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps({"degree": 1, "modulus": 3,
+                                 "values": {"0,1": 1, "1,2": 2}}))
+        code, doc, _ = run_json(capsys, "eval", "--action", "particle-quad",
+                                "--N", "3", "--process", "tjunction",
+                                "--initial", str(f))
+        assert code == 0 and doc["phase"] == {"num": 1, "den": 3}
+
+
 class TestTrace:
     def test_golden_match(self, capsys):
         code, out, _ = run(capsys, "trace", "--process", "mu56",

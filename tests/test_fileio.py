@@ -33,6 +33,27 @@ class TestCochainDocuments:
         with pytest.raises(ValueError, match="values"):
             cochain_from_text('{"degree": 1}')
 
+    @pytest.mark.parametrize("doc,field", [
+        ('{"degree": 1, "values": {"0,1": 1.5}}', "values"),
+        ('{"degree": 1, "values": {"0,1": "1"}}', "values"),
+        ('{"degree": 1, "values": {"0,1": true}}', "values"),
+        ('{"degree": 1, "modulus": 3.5, "values": {}}', "modulus"),
+        ('{"degree": 1, "modulus": false, "values": {}}', "modulus"),
+        ('{"degree": "1", "values": {}}', "degree"),
+        ('{"degree": 1.0, "values": {}}', "degree"),
+    ])
+    def test_only_json_integers_accepted(self, doc, field):
+        # Nothing is truncated or converted: 1.5 must not read as 1.
+        with pytest.raises(ValueError, match=f"{field}.*JSON integer"):
+            cochain_from_text(doc)
+        with pytest.raises(ValueError, match="JSON integer"):
+            chain_from_text(doc.replace('"values"', '"terms"'))
+
+    @pytest.mark.parametrize("doc", ['[1, 2]', '{"degree": 1, "values": [1]}'])
+    def test_non_object_rejected(self, doc):
+        with pytest.raises(ValueError, match="JSON object"):
+            cochain_from_text(doc)
+
     def test_roundtrip(self):
         c = Cochain(1, {(0, 1): 2, (2, 4): -1, (1, 3): 1}, 5)
         assert cochain_from_text(cochain_to_text(c)) == c

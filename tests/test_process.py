@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from chainphase.actions import get_action
+from chainphase.actions import action_names, get_action
+from chainphase.boundary import delta_on
 from chainphase.fileio import load_golden_trace
 from chainphase.process import (
     MU56,
@@ -22,6 +23,7 @@ from chainphase.process import (
     walk,
 )
 from chainphase.simplicial import Chain, Cochain, Phase
+from oracles import per_hop_cylinder_theta
 
 
 def inverse_word(steps):
@@ -190,6 +192,45 @@ class TestEvaluateExchangeWord:
     def test_inverse_exchange_negates(self):
         action = get_action("particle-quad-even", 2)
         assert evaluate(inverse_word(TJUNCTION), action) == Phase(-1, 4)
+
+
+def oracle_evaluate(steps, action, initial):
+    """evaluate's phase with Cochain arithmetic for the state and, for
+    every hop, the coboundary from delta_on and Theta from the per-hop
+    prism oracle."""
+    S = tuple(range(action.spacetime))
+    N = initial.modulus
+    hops = {cell: dual_hop(cell, action.spacetime - 1) for _, cell in steps}
+
+    def shift(a, sign, cell):
+        h = hops[cell].with_modulus(N)
+        return a + h if sign > 0 else a - h
+
+    total = Phase(0, 1)
+    for sign, cell, acting, b in walk(steps, initial, shift):
+        theta = per_hop_cylinder_theta(action, delta_on(acting, S),
+                                       hops[cell], S)
+        total -= sign * theta
+    assert b == initial
+    return total
+
+
+class TestEvaluateMatchesOracle:
+    # Bit for bit against the oracle for every registry action, from
+    # the vacuum and from a seeded closed state carried mod N and as
+    # its integer lift.
+    @pytest.mark.parametrize("name", action_names())
+    def test_every_action(self, name):
+        action = get_action(name)
+        word = TJUNCTION if action.spacetime == 4 else MU56
+        degree, k = action.degree - 1, action.spacetime - 1
+        rng = random.Random(f"oracle:{name}")
+        state = random_closed_configuration(degree, k, action.modulus, rng)
+        starts = [Cochain(degree, {}, action.modulus), state,
+                  state.with_modulus(0)]
+        for initial in starts:
+            assert evaluate(word, action, initial=initial) \
+                == oracle_evaluate(word, action, initial)
 
 
 class TestEvaluateValidation:

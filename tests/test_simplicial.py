@@ -12,6 +12,7 @@ from chainphase.simplicial import (
     StandardComplex,
     cylinder_project,
     dualize,
+    insert_vertex,
 )
 
 
@@ -227,13 +228,58 @@ def membership_oracle(cx, t):
 def test_top_cells_match_membership_oracle(kind, k):
     cx = getattr(StandardComplex, kind)(k)
     verts = range(2 * k + 2 if kind == "cylinder" else k + 1)
-    assert cx.vertices == tuple(verts)
     for n in range(1, len(verts) + 1):
         subsets = list(itertools.combinations(verts, n))
         for t in subsets:
             assert cx.has_simplex(t) == membership_oracle(cx, t), t
         assert list(cx.simplices(n - 1)) == [
             t for t in subsets if membership_oracle(cx, t)]
+
+
+def vertex_scan_coboundary(c, cx):
+    """Oracle: insert every vertex of the complex and keep the cofaces
+    that ``has_simplex`` accepts, as coboundary used to."""
+    out = {}
+    vertices = sorted({v for cell, _ in cx.top_cells for v in cell})
+    for t, value in c.items():
+        for v in vertices:
+            if v not in t:
+                coface, sign = insert_vertex(t, v)
+                if cx.has_simplex(coface):
+                    out[coface] = out.get(coface, 0) + sign * value
+    return Cochain(c.degree + 1, out, c.modulus)
+
+
+@pytest.mark.parametrize("kind", ["simplex", "boundary", "cylinder"])
+@pytest.mark.parametrize("k", range(2, 6))
+def test_coboundary_matches_vertex_scan(kind, k):
+    # Same cofaces, values and insertion order as the oracle.
+    cx = getattr(StandardComplex, kind)(k)
+    top = 2 * k + 1 if kind == "cylinder" else k
+    rng = random.Random(f"cob:{kind}:{k}")
+    for degree in range(cx.dimension):
+        for modulus in (0, 3):
+            c = random_cochain(rng, degree, top, modulus)
+            got = c.coboundary(cx)
+            want = vertex_scan_coboundary(c, cx)
+            assert got == want
+            assert list(got.items()) == list(want.items())
+
+
+def test_arithmetic_results_stay_canonical():
+    # Results built from valid maps skip the key checks, but still
+    # reduce mod N and drop zeros.
+    a = Cochain(1, {(0, 1): 2, (1, 2): 1}, 3)
+    b = Cochain(1, {(0, 1): 1, (0, 2): 2}, 3)
+    assert dict((a + b).items()) == {(1, 2): 1, (0, 2): 2}
+    assert dict((a - b).items()) == {(0, 1): 1, (1, 2): 1, (0, 2): 1}
+    assert dict((-a).items()) == {(0, 1): 1, (1, 2): 2}
+    assert dict(a.scale(3).items()) == {}
+    assert dict(Cochain(1, {(0, 1): 5}).with_modulus(5).items()) == {}
+    assert dict(Chain(1, {(0, 1): 1, (1, 2): 1}, 2).boundary().items()) \
+        == {(0,): 1, (2,): 1}
+    with pytest.raises(ValueError, match="modulus"):
+        a.with_modulus(-1)
 
 
 class TestProjectionHelpers:
