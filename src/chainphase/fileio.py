@@ -5,7 +5,8 @@ Cochains and chains travel as JSON documents with integer fields
 ``terms`` (chains) from comma-separated ascending vertex lists to
 integers, e.g. ``{"degree": 1, "modulus": 3, "values": {"0,2": 1}}``.
 Those integers must be JSON integers: a float, string or boolean is
-rejected, never rounded or converted.
+rejected, never rounded or converted.  A key is ASCII digits and commas
+only: no spaces, signs or empty parts.
 
 Process files are plain text, one step per line: a ``+`` or ``-``
 followed by the ascending vertex ids of the moved cell, whitespace
@@ -22,7 +23,21 @@ from .simplicial import Chain, Cochain
 
 
 def _parse_key(key: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in key.split(","))
+    """A simplex key: comma-separated runs of ASCII digits, nothing else.
+
+    >>> _parse_key("0,2,10")
+    (0, 2, 10)
+    >>> _parse_key("0,1_0")
+    Traceback (most recent call last):
+    ...
+    ValueError: bad simplex key '0,1_0': want comma-separated vertex ids
+    """
+    parts = key.split(",")
+    # str.isdigit alone also takes non-ASCII digits such as "\u0663".
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"bad simplex key {key!r}: want comma-separated "
+                         f"vertex ids")
+    return tuple(map(int, parts))
 
 
 def _json_int(value, what: str) -> int:

@@ -22,15 +22,31 @@ Pivots follow the Markowitz rule (Markowitz 1957): a +-1 entry costs
 fill-in it causes, and the cheapest is taken.  Ties go to the first
 entry in scan order, which is columns in the order they entered the
 matrix (a column that empties and comes back counts as new), then the
-column's rows in the iteration order of its row-id set.  The matrix
-keeps, per column, how many of its +-1 entries sit in rows of each
-length, so a column's least cost is read off without visiting a row;
-only the winning column's rows are walked to find the entry.
+column's rows in the iteration order of its row-id set.  That set
+order follows the set's own history of adds and discards, so a copy,
+whose sets are rebuilt, may break ties differently from its original.
+
+While it eliminates, the matrix keeps one number per column: a lower
+bound on the length of the shortest row holding a +-1 there.  A bound
+drops only when such a row shrinks or a row gains a unit; rows that
+grow or leave can only raise the least length, so a bound may fall
+behind but never exceeds it.  The picker skips a column whose bound
+cost is already no better than the best so far (it cannot win
+outright, and ties go to the earlier column); any other column it
+scans for its exact least length, which it stores back as the bound.
+A pivot drops its own column once, since every row loses its entry
+there.  Per-column sets of unit rows would spare the scan, but on the
+identity matrices nearly every entry is a unit, so they would double
+the column index in memory.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
+
+
+#: The least-length bound of a column with no +-1: longer than any row.
+_NO_UNIT = 1 << 62
 
 
 class SparseIntMatrix:
@@ -43,15 +59,16 @@ class SparseIntMatrix:
     {1: {'x': 1, 'y': 2}, 2: {'y': 4}}
     """
 
-    __slots__ = ("_rows", "_col_rows", "_units", "_next_id", "_labels",
+    __slots__ = ("_rows", "_col_rows", "_low", "_next_id", "_labels",
                  "_index")
 
     def __init__(self, rows: Iterable[Mapping[Hashable, int]] = ()):
         # Row id -> {column id: value}; column id -> label and back.
         self._rows: dict[int, dict[int, int]] = {}
         self._col_rows: dict[int, set[int]] = {}
-        # column -> {length of a row with a +-1 there: how many such rows}
-        self._units: dict[int, dict[int, int]] = {}
+        # While eliminating, by column id: a lower bound on the length
+        # of its shortest row with a +-1 there.
+        self._low: list[int] = []
         self._next_id = 1
         self._labels: list = []
         self._index: dict[Hashable, int] = {}
@@ -75,8 +92,6 @@ class SparseIntMatrix:
         self._rows[rid] = entries
         for c in entries:
             self._col_rows.setdefault(c, set()).add(rid)
-            self._units.setdefault(c, {})
-        self._tally(entries, 1)
 
     @property
     def rows(self) -> dict[int, dict]:
@@ -97,79 +112,54 @@ class SparseIntMatrix:
         out = SparseIntMatrix()
         out._rows = {rid: dict(row) for rid, row in self._rows.items()}
         out._col_rows = {c: set(rids) for c, rids in self._col_rows.items()}
-        out._units = {c: dict(by_len) for c, by_len in self._units.items()}
         out._next_id = self._next_id
         out._labels = list(self._labels)
         out._index = dict(self._index)
         return out
 
-    def _tally(self, row: dict, step: int) -> None:
-        """Add ``step`` to the unit counts of each +-1 entry of ``row``."""
-        length = len(row)
-        units = self._units
-        for c, v in row.items():
-            if v == 1 or v == -1:
-                by_len = units[c]
-                n = by_len.get(length, 0) + step
-                if n:
-                    by_len[length] = n
-                else:
-                    del by_len[length]
-
-    def _remove_row(self, rid: int) -> dict:
-        row = self._rows.pop(rid)
-        self._tally(row, -1)
-        for c in row:
-            rids = self._col_rows[c]
+    def _remove_row(self, rid: int) -> None:
+        col_rows = self._col_rows
+        for c in self._rows.pop(rid):
+            rids = col_rows[c]
             rids.discard(rid)
             if not rids:
-                del self._col_rows[c]
-        return row
+                del col_rows[c]
 
-    def _add_multiple(self, rid: int, pivot_row: dict, factor: int) -> None:
+    def _add_multiple(self, rid: int, c: int, pivot_row: dict,
+                      pivot_val: int) -> None:
+        """Clear column ``c`` of row ``rid`` with the pivot row, whose
+        entry ``pivot_val`` in ``c`` is already taken off it."""
         row = self._rows[rid]
         before = len(row)
-        units = self._units
+        factor = -row.pop(c) * pivot_val  # pivot_val in {1, -1}
+        col_rows = self._col_rows
+        gained = []
         # The pivot row stays in every one of its columns until it is
         # removed, so none of them can disappear from _col_rows here.
-        for c, v in pivot_row.items():
-            old = row.get(c, 0)
+        for k, v in pivot_row.items():
+            old = row.get(k, 0)
             new = old + factor * v
-            if old == 1 or old == -1:
-                by_len = units[c]
-                n = by_len[before] - 1
-                if n:
-                    by_len[before] = n
-                else:
-                    del by_len[before]
             if new:
                 if not old:
-                    self._col_rows[c].add(rid)
-                row[c] = new
-            elif old:
-                del row[c]
-                rids = self._col_rows[c]
-                rids.discard(rid)
-                if not rids:
-                    del self._col_rows[c]
-        if not row:
+                    col_rows[k].add(rid)
+                row[k] = new
+                if (new == 1 or new == -1) and not (old == 1 or old == -1):
+                    gained.append(k)
+            else:
+                del row[k]
+                col_rows[k].discard(rid)
+        after = len(row)
+        if not after:
             del self._rows[rid]
             return
-        # The pivot row's columns were uncounted above; a unit elsewhere
-        # moves only when the row's length changed.
-        after = len(row)
-        for c, v in row.items():
-            if v == 1 or v == -1:
-                by_len = units[c]
-                if c in pivot_row:
-                    by_len[after] = by_len.get(after, 0) + 1
-                elif after != before:
-                    n = by_len[before] - 1
-                    if n:
-                        by_len[before] = n
-                    else:
-                        del by_len[before]
-                    by_len[after] = by_len.get(after, 0) + 1
+        # A bound need only drop to this row's length where the row
+        # holds a unit and either shrank or newly holds it there.
+        low = self._low
+        if after < before:
+            gained = [k for k, v in row.items() if v == 1 or v == -1]
+        for k in gained:
+            if low[k] > after:
+                low[k] = after
 
     def _pick_pivot(self, allowed=None):
         """The unit entry of least Markowitz cost, as (row id, column).
@@ -179,24 +169,37 @@ class SparseIntMatrix:
         Returns None when no allowed column (a set of column ids, or
         None for all) holds a +-1.
         """
+        rows, low = self._rows, self._low
         best = None
-        units = self._units
+        # No entry costs as much as rows * columns.
+        best_cost = len(rows) * len(self._col_rows)
         for c, rids in self._col_rows.items():
             if allowed is not None and c not in allowed:
                 continue
-            by_len = units[c]
-            if not by_len:
+            others = len(rids) - 1
+            if (low[c] - 1) * others >= best_cost:
                 continue
-            length = min(by_len)
-            cost = (length - 1) * (len(rids) - 1)
-            if best is None or cost < best_cost:
+            # A unit row as short as the bound ends the scan early.
+            length, floor = _NO_UNIT, low[c]
+            for r in rids:
+                row = rows[r]
+                v = row[c]
+                if (v == 1 or v == -1) and len(row) < length:
+                    length = len(row)
+                    if length == floor:
+                        break
+            low[c] = length
+            if length == _NO_UNIT:
+                continue
+            cost = (length - 1) * others
+            if cost < best_cost:
                 best, best_cost, best_length = c, cost, length
                 if cost == 0:
                     break
         if best is None:
             return None
         for rid in self._col_rows[best]:
-            row = self._rows[rid]
+            row = rows[rid]
             if len(row) == best_length and abs(row[best]) == 1:
                 return rid, best
 
@@ -214,25 +217,24 @@ class SparseIntMatrix:
         index, labels = self._index, self._labels
         allowed = None if allowed_cols is None else {
             index[label] for label in allowed_cols if label in index}
+        # 0 bounds every length: each column is scanned when first met.
+        self._low = [0] * len(labels)
         log = []
         while True:
             pick = self._pick_pivot(allowed)
             if pick is None:
+                self._low = []
                 return log
             rid, c = pick
-            pivot_row = dict(self._rows[rid])
-            pivot_val = pivot_row[c]
-            for other in list(self._col_rows.get(c, ())):
-                if other == rid:
-                    continue
-                factor = -self._rows[other][c] * pivot_val  # pivot_val in {1,-1}
-                self._add_multiple(other, pivot_row, factor)
+            pivot_row = self._rows[rid]
+            pivot_val = pivot_row.pop(c)
+            for other in self._col_rows.pop(c):
+                if other != rid:
+                    self._add_multiple(other, c, pivot_row, pivot_val)
             self._remove_row(rid)
-            # The pivot column is gone from every row now; drop it from
-            # the recorded row too so the log maps it to survivors only.
+            # The recorded row maps the pivot column to survivors only.
             log.append((labels[c], pivot_val,
-                        {labels[k]: v for k, v in pivot_row.items()
-                         if k != c}))
+                        {labels[k]: v for k, v in pivot_row.items()}))
 
     def to_dense(self):
         """(matrix as list of lists, ordered column labels)."""

@@ -137,8 +137,9 @@ def phi_terms(u, degrees):
     Returns tuples (sign, slots) where slots[s] lists the vertex
     positions (inside the target simplex <0..n>) fed to input s+1.
     Deterministic order: lexicographic in the cut tuple.  The cuts are
-    walked depth first, cutting a branch as soon as a slot overfills or
-    an interval would not start after its slot's last vertex.
+    walked depth first; a branch is cut as soon as an interval would
+    not start after its slot's last vertex, and no interval is given an
+    end that leaves its slot unable to end exactly full.
 
     The cup word on two 1-cochains has the single front/back term:
 
@@ -153,7 +154,8 @@ def phi_terms(u, degrees):
     n = sum(d + 1 for d in degrees) - k
     if n < 0:
         raise ValueError("negative output degree")
-    final = [u[t] not in u[t + 1:] for t in range(k)]
+    # Later intervals of each interval's slot; none for a final one.
+    later = [u[t + 1:].count(u[t]) for t in range(k)]
     room = [d + 1 for d in degrees]  # vertices each slot still takes
     last = [-1] * r                  # each slot's last vertex so far
     cuts = [0] * (k + 1)
@@ -163,7 +165,7 @@ def phi_terms(u, degrees):
         slots = [[] for _ in range(r)]
         for t in range(k):
             slots[u[t] - 1].extend(range(cuts[t], cuts[t + 1] + 1))
-        weights = [cuts[t + 1] - cuts[t] + (0 if final[t] else 1)
+        weights = [cuts[t + 1] - cuts[t] + (1 if later[t] else 0)
                    for t in range(k)]
         exp = 0
         for t1 in range(k):
@@ -171,22 +173,28 @@ def phi_terms(u, degrees):
                 if u[t1] > u[t2]:
                     exp += weights[t1] * weights[t2]
         for t in range(k):
-            if not final[t]:
+            if later[t]:
                 exp += cuts[t + 1]
         sign = -1 if exp % 2 else 1
         terms.append((sign, tuple(tuple(slot) for slot in slots)))
 
     def place(t):
         # Interval t starts at cuts[t]; try each end in ascending
-        # order.  Slot sizes always sum to n + k, so when no slot
-        # overfills every slot ends exactly full.
+        # order.  Slot sizes always sum to n + k, so a term fills every
+        # slot exactly: an inner interval leaves a vertex for each later
+        # interval of its slot, and a final one takes all that is left.
         slot, start = u[t] - 1, cuts[t]
         if start <= last[slot]:
             return
-        for end in (n,) if t == k - 1 else range(start, n + 1):
+        top = start + room[slot] - 1 - later[t]
+        if later[t]:
+            ends = range(start, min(top, n) + 1)
+        elif start <= top <= n:
+            ends = (top,)
+        else:
+            return
+        for end in ends:
             size = end - start + 1
-            if size > room[slot]:
-                return
             cuts[t + 1] = end
             room[slot] -= size
             prev, last[slot] = last[slot], end

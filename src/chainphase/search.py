@@ -40,12 +40,15 @@ class ExcitationModel:
     Attributes: ``modulus`` (fusion group Z_N), ``p``, ``d``,
     ``generators`` (the (p+1)-simplices, ascending), ``configurations``
     (every p-boundary, as canonical state keys), ``moves`` (generator
-    -> boundary Chain mod N).  Every move of every configuration is
-    recorded once, in both directions, and read back by ``step``.
+    -> boundary Chain mod N).  Generators and configurations are
+    numbered by their positions, and every move of every configuration
+    is recorded once, in both directions, as a table of those numbers;
+    ``step`` and the expansion of words read it back.
     """
 
     __slots__ = ("modulus", "p", "d", "generators", "moves",
-                 "configurations", "_config_set", "_steps")
+                 "configurations", "_number", "_gen_number", "_table",
+                 "_labels")
 
     def __init__(self, modulus, p, d, generators, moves, configurations,
                  steps):
@@ -55,9 +58,19 @@ class ExcitationModel:
         self.generators = generators
         self.moves = moves
         self.configurations = configurations
-        self._config_set = set(configurations)
-        # (sign, generator) -> {configuration key: key after the step}
-        self._steps = steps
+        number = self._number = {key: i
+                                 for i, key in enumerate(configurations)}
+        self._gen_number = {s: g for g, s in enumerate(generators)}
+        # sign -> generator number -> [configuration number after the
+        # step, by configuration number], from ``steps``: (sign,
+        # generator) -> {configuration key: key after the step}
+        self._table = {
+            sign: [[number[steps[sign, s][key]] for key in configurations]
+                   for s in generators]
+            for sign in (1, -1)}
+        # The (generator, configuration) label of each numbered term,
+        # one object per label, so equal labels compare by identity.
+        self._labels = [(s, a) for s in generators for a in configurations]
 
     def state(self, key) -> Chain:
         return Chain(self.p, dict(key), self.modulus)
@@ -73,10 +86,11 @@ class ExcitationModel:
         >>> m.step(m.step(a, 1, s), -1, s) == a
         True
         """
-        return self._steps[sign, s][key]
+        targets = self._table[sign][self._gen_number[s]]
+        return self.configurations[targets[self._number[key]]]
 
     def is_configuration(self, key) -> bool:
-        return key in self._config_set
+        return key in self._number
 
     def __repr__(self):
         return (f"ExcitationModel(Z_{self.modulus}, p={self.p}, "
@@ -104,9 +118,9 @@ def build_model(modulus: int, p: int, d: int) -> ExcitationModel:
     moves = {s: Chain(p, dict(simplex_faces(s)), modulus)
              for s in generators}
     # Breadth-first closure of the subgroup generated by the moves,
-    # recording each move both ways.  Equal keys share one object.
+    # recording each move both ways.
     steps = {(sign, s): {} for s in generators for sign in (1, -1)}
-    canonical = {VACUUM_KEY: VACUUM_KEY}
+    seen = {VACUUM_KEY}
     frontier = [(VACUUM_KEY, Chain(p, {}, modulus))]
     while frontier:
         nxt = []
@@ -114,16 +128,38 @@ def build_model(modulus: int, p: int, d: int) -> ExcitationModel:
             for s, move in moves.items():
                 new = state + move
                 new_key = _state_key(new)
-                if new_key in canonical:
-                    new_key = canonical[new_key]
-                else:
-                    canonical[new_key] = new_key
+                if new_key not in seen:
+                    seen.add(new_key)
                     nxt.append((new_key, new))
                 steps[1, s][key] = new_key
                 steps[-1, s][new_key] = key
         frontier = nxt
     return ExcitationModel(modulus, p, d, generators, moves,
-                           tuple(sorted(canonical)), steps)
+                           tuple(sorted(seen)), steps)
+
+
+def _expand_numbered(word, a: int, model: ExcitationModel) -> dict:
+    """``expand_theta`` on numbers: ``word`` holds (sign, generator
+    number) steps, ``a`` is a configuration number, and the term
+    theta(s, b) is keyed by s's number * |A| + b's number."""
+    table = model._table
+    size = len(model.configurations)
+    expr: dict = {}
+    for sign, g, acting, _ in walk(word, a,
+                                   lambda b, sign, g: table[sign][g][b]):
+        key = g * size + acting
+        expr[key] = expr.get(key, 0) + sign
+    return {k: v for k, v in expr.items() if v}
+
+
+def _labelled(expr: dict, model: ExcitationModel) -> dict:
+    """A numbered expression keyed by (generator, configuration key)."""
+    labels = model._labels
+    return {labels[k]: v for k, v in expr.items()}
+
+
+def _numbered_word(word, model: ExcitationModel) -> list:
+    return [(sign, model._gen_number[s]) for sign, s in word]
 
 
 def expand_theta(word, a_key, model: ExcitationModel) -> dict:
@@ -137,11 +173,8 @@ def expand_theta(word, a_key, model: ExcitationModel) -> dict:
     if not model.is_configuration(a_key):
         raise ValueError(f"state {a_key} is not a configuration of "
                          f"{model!r}")
-    expr: dict = {}
-    for sign, s, acting, _ in walk(word, a_key, model.step):
-        key = (s, acting)
-        expr[key] = expr.get(key, 0) + sign
-    return {k: v for k, v in expr.items() if v}
+    return _labelled(_expand_numbered(_numbered_word(word, model),
+                                      model._number[a_key], model), model)
 
 
 def inverse_word(word):
@@ -202,28 +235,22 @@ def gen_identities(model: ExcitationModel, max_depth: int = 3) -> list[dict]:
     out = []
     seen = set()
     for word in identity_words(model, max_depth):
-        for a_key in model.configurations:
-            expr = expand_theta(word, a_key, model)
+        word = _numbered_word(word, model)
+        for a in range(len(model.configurations)):
+            expr = _expand_numbered(word, a, model)
             if not expr:
                 continue
             fingerprint = frozenset(expr.items())
             if fingerprint in seen:
                 continue
             seen.add(fingerprint)
-            out.append(expr)
+            out.append(_labelled(expr, model))
     return out
 
 
 def identity_matrix(model: ExcitationModel,
                     max_depth: int = 3) -> SparseIntMatrix:
     return SparseIntMatrix(gen_identities(model, max_depth))
-
-
-def eliminate(matrix: SparseIntMatrix):
-    """Unit-pivot elimination on a copy; returns (residual, log)."""
-    residual = matrix.copy()
-    log = residual.eliminate()
-    return residual, log
 
 
 def torsion(residual: SparseIntMatrix) -> list[int]:
@@ -233,8 +260,15 @@ def torsion(residual: SparseIntMatrix) -> list[int]:
 
 
 def classify(model: ExcitationModel, max_depth: int = 3):
-    """(torsion factors, residual, elimination log) for the model."""
-    residual, log = eliminate(identity_matrix(model, max_depth))
+    """(torsion factors, residual, elimination log) for the model.
+
+    Pivot ties follow the order of the matrix's row-id sets, which a
+    copy rebuilds; the recorded residuals and processes come from
+    eliminating a copy, so one is taken, and the original is dropped
+    before the elimination starts.
+    """
+    residual = identity_matrix(model, max_depth).copy()
+    log = residual.eliminate()
     return torsion(residual), residual, log
 
 

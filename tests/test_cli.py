@@ -152,6 +152,19 @@ class TestEval:
         assert "bad initial state file" in err and field in err
         assert "JSON integer" in err
 
+    @pytest.mark.parametrize("command", ["eval", "trace"])
+    def test_initial_with_a_bad_key_is_bad_input(self, capsys, tmp_path,
+                                                 command):
+        field = "values" if command == "eval" else "terms"
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps({"degree": 1, field: {"0,1_0": 1}}))
+        extra = ["--action", "particle-quad", "--N", "3"] \
+            if command == "eval" else []
+        code, out, err = run(capsys, command, *extra, "--process",
+                             "tjunction", "--initial", str(f))
+        assert code == 2 and not out
+        assert "bad initial state file" in err and "'0,1_0'" in err
+
     def test_initial_state_file(self, capsys, tmp_path):
         f = tmp_path / "state.json"
         f.write_text(json.dumps({"degree": 1, "modulus": 3,
@@ -274,6 +287,35 @@ class TestSearch:
                                 "--process", str(out))
         assert code == 0
         assert doc["phase"] == {"num": 1, "den": 2}
+
+    @pytest.mark.parametrize("model,factors,shape,steps,digest", [
+        ((2, 0, 2), [4], [144, 6], 14, "d6f46d4e3ef4d0fb2217f13cc1a8c3a1"
+         "6c7bddb09c49954322f0451a3c481597"),
+        ((3, 0, 2), [3], [624, 6], 22, "d6072586aa7c853665f54bb2c68a8319"
+         "ebd7632f8f7e8da551da63bfe1107966"),
+        ((2, 0, 3), [2], [934, 6], 12, "15b8c7a19556600ec7359fb0520e2b01"
+         "cbc231b06631fa1e81661786c67c354b"),
+        ((2, 1, 3), [2], [582, 30], 38, "29d97986ecc1197200f98b5a5b142d73"
+         "2b469fad2d0ac26e312b4e48de895d25"),
+    ], ids=["Z2-p0-d2", "Z3-p0-d2", "Z2-p0-d3", "Z2-p1-d3"])
+    def test_classification_is_pinned(self, capsys, tmp_path, model,
+                                      factors, shape, steps, digest):
+        # Pivot ties decide the residual and the emitted word.  These
+        # are the recorded values, which come from eliminating a copy of
+        # the identity matrix: eliminating the original itself gives the
+        # loop model [752, 36] and a 50-step word.
+        N, p, d = model
+        out = tmp_path / "word.txt"
+        code, doc, _ = run_json(capsys, "search", "--G", f"Z{N}", "--p",
+                                str(p), "--d", str(d), "--emit-process",
+                                str(out))
+        assert code == 0
+        assert doc["invariant_factors"] == factors
+        assert doc["residual_shape"] == shape
+        assert doc["process_steps"] == steps
+        text = out.read_text()
+        assert text.count("\n") == steps
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_bad_group(self, capsys):
         code, _, err = run(capsys, "search", "--G", "Q8", "--p", "0",

@@ -4,11 +4,12 @@ import doctest
 
 import pytest
 
-from chainphase import actions, intmat, operad, search, simplicial
+from chainphase import actions, fileio, intmat, operad, search, simplicial
 
 
 @pytest.mark.parametrize("module",
-                         [actions, intmat, operad, search, simplicial],
+                         [actions, fileio, intmat, operad, search,
+                          simplicial],
                          ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)

@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 from chainphase.fileio import (
@@ -47,6 +50,20 @@ class TestCochainDocuments:
         with pytest.raises(ValueError, match=f"{field}.*JSON integer"):
             cochain_from_text(doc)
         with pytest.raises(ValueError, match="JSON integer"):
+            chain_from_text(doc.replace('"values"', '"terms"'))
+
+    @pytest.mark.parametrize("key", [
+        "0,1_0", " 1, 2 ", "0, 1", "0,\u0663", "0,,1", ",0", "0,", "",
+        "+1,2", "-1,2", "0,1\n",
+    ])
+    def test_only_digit_runs_accepted_as_keys(self, key):
+        # int() reads each of these (or a part of it) leniently: "0,1_0"
+        # once gave the simplex (0, 10) and "0,\u0663" (Arabic-Indic
+        # three) gave (0, 3).
+        doc = '{"degree": 1, "values": {%s: 1}}' % json.dumps(key)
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            cochain_from_text(doc)
+        with pytest.raises(ValueError, match="bad simplex key"):
             chain_from_text(doc.replace('"values"', '"terms"'))
 
     @pytest.mark.parametrize("doc", ['[1, 2]', '{"degree": 1, "values": [1]}'])

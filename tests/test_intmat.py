@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,9 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from chainphase.intmat import SparseIntMatrix, smith_invariant_factors
-from chainphase.search import (build_model, eliminate, gen_identities,
-                               torsion)
+from chainphase.search import (build_model, gen_identities,
+                               identity_matrix, legality_attempt,
+                               legality_partition, torsion)
 
 
 def sympy_factors(rows):
@@ -21,7 +23,9 @@ def sympy_factors(rows):
 
 def cokernel_torsion(matrix):
     """Invariant factors > 1 of coker(M): eliminate a copy, then Smith."""
-    return torsion(eliminate(matrix)[0])
+    residual = matrix.copy()
+    residual.eliminate()
+    return torsion(residual)
 
 
 def from_dense(rows):
@@ -31,66 +35,79 @@ def from_dense(rows):
     return m
 
 
-def rescan_eliminate(rows, allowed_cols=None):
+class RescanMatrix:
     """Oracle: elimination whose picker rescans every nonzero per pivot.
 
     The same row ids and the same set updates as `SparseIntMatrix`, so
-    scan order agrees; returns (log, residual rows).
+    scan order agrees with an uncopied matrix.
     """
-    mat, col_rows = {}, {}
-    for row in rows:
+
+    def __init__(self, rows=()):
+        self.mat, self.col_rows, self.next_id = {}, {}, 1
+        for row in rows:
+            self.add_row(row)
+
+    def add_row(self, row):
         entries = {c: v for c, v in row.items() if v}
         if entries:
-            rid = len(mat) + 1
-            mat[rid] = entries
+            rid, self.next_id = self.next_id, self.next_id + 1
+            self.mat[rid] = entries
             for c in entries:
-                col_rows.setdefault(c, set()).add(rid)
+                self.col_rows.setdefault(c, set()).add(rid)
 
-    def drop(rid, c):
-        col_rows[c].discard(rid)
-        if not col_rows[c]:
-            del col_rows[c]
+    def drop(self, rid, c):
+        self.col_rows[c].discard(rid)
+        if not self.col_rows[c]:
+            del self.col_rows[c]
 
-    def pick():
+    def pick(self, allowed_cols):
         best = best_cost = None
-        for c, rids in col_rows.items():
+        for c, rids in self.col_rows.items():
             if allowed_cols is not None and c not in allowed_cols:
                 continue
             for rid in rids:
-                if abs(mat[rid][c]) != 1:
+                if abs(self.mat[rid][c]) != 1:
                     continue
-                cost = (len(mat[rid]) - 1) * (len(rids) - 1)
+                cost = (len(self.mat[rid]) - 1) * (len(rids) - 1)
                 if best_cost is None or cost < best_cost:
                     best, best_cost = (rid, c), cost
                     if cost == 0:
                         return best
         return best
 
-    log = []
-    while (best := pick()) is not None:
-        rid, c = best
-        pivot_row = dict(mat[rid])
-        for other in list(col_rows[c]):
-            if other == rid:
-                continue
-            row = mat[other]
-            factor = -row[c] * pivot_row[c]
-            for k, v in pivot_row.items():
-                new = row.get(k, 0) + factor * v
-                if new:
-                    if k not in row:
-                        col_rows[k].add(other)
-                    row[k] = new
-                elif k in row:
-                    del row[k]
-                    drop(other, k)
-            if not row:
-                del mat[other]
-        for k in mat.pop(rid):
-            drop(rid, k)
-        log.append((c, pivot_row[c],
-                    {k: v for k, v in pivot_row.items() if k != c}))
-    return log, mat
+    def eliminate(self, allowed_cols=None):
+        mat, col_rows = self.mat, self.col_rows
+        log = []
+        while (best := self.pick(allowed_cols)) is not None:
+            rid, c = best
+            pivot_row = dict(mat[rid])
+            for other in list(col_rows[c]):
+                if other == rid:
+                    continue
+                row = mat[other]
+                factor = -row[c] * pivot_row[c]
+                for k, v in pivot_row.items():
+                    new = row.get(k, 0) + factor * v
+                    if new:
+                        if k not in row:
+                            col_rows[k].add(other)
+                        row[k] = new
+                    elif k in row:
+                        del row[k]
+                        self.drop(other, k)
+                if not row:
+                    del mat[other]
+            for k in mat.pop(rid):
+                self.drop(rid, k)
+            log.append((c, pivot_row[c],
+                        {k: v for k, v in pivot_row.items() if k != c}))
+        return log
+
+
+def rescan_eliminate(rows, allowed_cols=None):
+    """(log, residual rows) of the rescanning oracle."""
+    oracle = RescanMatrix(rows)
+    return oracle.eliminate(allowed_cols), oracle.mat
 
 
 def rank(rows):
@@ -256,6 +273,83 @@ class TestPivotOrder:
     def test_particle_identity_matrix(self, modulus):
         self.assert_same_elimination(
             gen_identities(build_model(modulus, 0, 2)))
+
+
+class TestPivotOrderAtScale:
+    """Matrices whose rows grow and shrink many times, so stale length
+    bounds would pick a different pivot than the full rescan."""
+
+    @staticmethod
+    def large_rows(rng):
+        n, m = rng.randint(40, 200), rng.randint(10, 40)
+        density = rng.uniform(0.1, 0.4)
+        return [{j: rng.choice((1, -1, 1, -1, 1, -1, 2, -3))
+                 for j in range(m) if rng.random() < density}
+                for _ in range(n)]
+
+    @staticmethod
+    def assert_original_matches(rows, allowed_cols=None):
+        # A copy's row-id sets can iterate in another order than the
+        # rescan's, so only the original is compared; eliminating a
+        # copy first must leave the original's bookkeeping alone.
+        want_log, want_rows = rescan_eliminate(rows, allowed_cols)
+        mat = SparseIntMatrix(rows)
+        mat.copy().eliminate(allowed_cols)
+        assert mat.eliminate(allowed_cols) == want_log
+        assert list(mat.rows.items()) == list(want_rows.items())
+
+    def test_random(self):
+        rng = random.Random(37)
+        for _ in range(12):
+            self.assert_original_matches(self.large_rows(rng))
+
+    def test_random_allowed_cols(self):
+        rng = random.Random(41)
+        for _ in range(12):
+            rows = self.large_rows(rng)
+            cols = sorted({c for row in rows for c in row})
+            allowed = set(rng.sample(cols, rng.randint(1, len(cols))))
+            self.assert_original_matches(rows, allowed)
+
+    def test_rows_added_between_eliminations(self):
+        # Rows added between eliminations, some in columns that
+        # emptied and came back, are picked as the rescan picks them.
+        rng = random.Random(43)
+        for _ in range(12):
+            rows = self.large_rows(rng)
+            cols = sorted({c for row in rows for c in row})
+            allowed = set(rng.sample(cols, rng.randint(1, len(cols))))
+            mat, oracle = SparseIntMatrix(rows), RescanMatrix(rows)
+            for step in range(3):
+                assert mat.eliminate(allowed) == oracle.eliminate(allowed)
+                for _ in range(rng.randint(1, 20)):
+                    row = {j: rng.choice((1, -1, 2))
+                           for j in rng.sample(cols, rng.randint(1, 4))}
+                    mat.add_row(row)
+                    oracle.add_row(row)
+                allowed = None if step else set(cols) - allowed
+            assert list(mat.rows.items()) == list(oracle.mat.items())
+
+    def test_particle_identity_matrix_in_three_dimensions(self):
+        self.assert_original_matches(gen_identities(build_model(2, 0, 3)))
+
+    def test_legality_trials(self):
+        # Every sign function of the Z2 d=2 particle model: the trial
+        # eliminates the illegal columns of a copy of the base matrix.
+        model = build_model(2, 0, 2)
+        rows = gen_identities(model)
+        base = identity_matrix(model, 3)
+        vertices = [(v,) for v in range(4)]
+        for signs in itertools.product((1, -1), repeat=4):
+            f = dict(zip(vertices, signs))
+            illegal = legality_partition(base, f, model)
+            want_log, want_rows = rescan_eliminate(rows, illegal)
+            work = base.copy()
+            assert work.eliminate(illegal) == want_log
+            assert list(work.rows.items()) == list(want_rows.items())
+            ok, residual = legality_attempt(base, f, model)
+            assert residual.rows == want_rows
+            assert ok == (not illegal & residual.columns())
 
 
 class TestCokernelTorsion:

@@ -60,6 +60,52 @@ def brute_force_phi_terms(u, degrees):
     return terms
 
 
+def overfill_phi_terms(u, degrees):
+    """Oracle: the depth-first cut walk that tries every end of each
+    interval and cuts a branch only once a slot overfills."""
+    k, r = len(u), max(u)
+    n = sum(d + 1 for d in degrees) - k
+    final = [u[t] not in u[t + 1:] for t in range(k)]
+    room = [d + 1 for d in degrees]
+    last = [-1] * r
+    cuts = [0] * (k + 1)
+    terms = []
+
+    def emit():
+        slots = [[] for _ in range(r)]
+        for t in range(k):
+            slots[u[t] - 1].extend(range(cuts[t], cuts[t + 1] + 1))
+        weights = [cuts[t + 1] - cuts[t] + (0 if final[t] else 1)
+                   for t in range(k)]
+        exp = sum(weights[t1] * weights[t2]
+                  for t1, t2 in itertools.combinations(range(k), 2)
+                  if u[t1] > u[t2])
+        exp += sum(cuts[t + 1] for t in range(k) if not final[t])
+        terms.append((-1 if exp % 2 else 1,
+                      tuple(tuple(slot) for slot in slots)))
+
+    def place(t):
+        slot, start = u[t] - 1, cuts[t]
+        if start <= last[slot]:
+            return
+        for end in (n,) if t == k - 1 else range(start, n + 1):
+            size = end - start + 1
+            if size > room[slot]:
+                return
+            cuts[t + 1] = end
+            room[slot] -= size
+            prev, last[slot] = last[slot], end
+            if t == k - 1:
+                emit()
+            else:
+                place(t + 1)
+            room[slot] += size
+            last[slot] = prev
+
+    place(0)
+    return terms
+
+
 def phi_value(u, inputs, s):
     """phi(u)(inputs...) on s, as an integer lift."""
     return term_sum(phi_terms(u, tuple(c.degree for c in inputs)), inputs, s)
@@ -187,6 +233,19 @@ class TestPhiTermsSearch:
                 empty += not want
                 full += bool(want)
         assert empty and full
+
+
+    @pytest.mark.parametrize("r,top", [(3, 8), (2, 5)])
+    def test_matches_overfill_walk_on_psi_words(self, r, top):
+        # The pruned walk lists the same terms, in the same order, as
+        # the walk that waits for a slot to overfill.
+        for u in sorted(w for i in range(top + 1) for w in psi(r, i)):
+            for q in range(2, 7):
+                degrees = (q,) * r
+                if r * (q + 1) < len(u):
+                    continue
+                assert phi_terms(u, degrees) \
+                    == overfill_phi_terms(u, degrees), (u, q)
 
 
 class TestDTerms:

@@ -61,6 +61,23 @@ def chain_expand_theta(word, a_key, model):
     return {k: v for k, v in expr.items() if v}
 
 
+def key_gen_identities(model, max_depth=3):
+    """Oracle: identity rows expanded on configuration keys through
+    ``model.step``, deduplicated on label-keyed fingerprints."""
+    out, seen = [], set()
+    for word in identity_words(model, max_depth):
+        for a_key in model.configurations:
+            expr = {}
+            for sign, s, acting, _ in walk(word, a_key, model.step):
+                expr[s, acting] = expr.get((s, acting), 0) + sign
+            expr = {k: v for k, v in expr.items() if v}
+            fingerprint = frozenset(expr.items())
+            if expr and fingerprint not in seen:
+                seen.add(fingerprint)
+                out.append(expr)
+    return out
+
+
 def random_word(model, rng, length):
     return tuple((rng.choice((1, -1)), rng.choice(model.generators))
                  for _ in range(length))
@@ -208,6 +225,17 @@ class TestIdentityWords:
 
     def test_particle_identity_count(self, particle):
         assert len(gen_identities(particle, 3)) == 312
+
+    @pytest.mark.parametrize("shape", MODEL_SHAPES[:2] + [(2, 0, 3),
+                                                         (2, 1, 3)],
+                             ids=shape_id)
+    def test_rows_match_expansion_on_keys(self, shape):
+        # The same rows, in the same order, each in the same dict order.
+        model = build_model(*shape)
+        got = gen_identities(model, 3)
+        want = key_gen_identities(model, 3)
+        assert [list(row.items()) for row in got] \
+            == [list(row.items()) for row in want]
 
 
 class TestBilinearRealizations:
