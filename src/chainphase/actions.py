@@ -269,6 +269,7 @@ def get_action(name: str, N: int | None = None) -> ActionFunctional:
     degree, spacetime, default_N, divisor, check, why = _SPECS[name]
     if N is None:
         N = default_N
+    _require(name, N, N > 0, "N > 0")
     _require(name, N, check(N), why)
     if name not in _TERM_CACHE:
         _TERM_CACHE[name] = _TERM_BUILDERS[name]()

@@ -7,7 +7,8 @@ and every report records the seed it used.  Phases are serialized as
 reduced fractions, never floats.
 
 Exit codes: 0 success; 1 a verification or comparison failed; 2 bad
-input (unknown action, malformed file, inconsistent parameters).
+input (unknown action, malformed file, inconsistent parameters,
+unwritable output path).
 """
 
 from __future__ import annotations
@@ -278,6 +279,9 @@ def cmd_search(args) -> int:
                 seed=seed, max_depth=args.depth)
         except ValueError as exc:
             raise InputError(str(exc))
+        except OSError as exc:
+            raise InputError(f"cannot write checkpoint "
+                             f"{args.checkpoint!r}: {exc}")
         payload = {"seed": seed, "mode": "legality",
                    "attempts": result["attempts"],
                    "successes": result["successes"]}
@@ -311,8 +315,12 @@ def cmd_search(args) -> int:
                 ("+ " if sign > 0 else "- ")
                 + " ".join(map(str, cell)) + "\n"
                 for sign, cell in word)
-            with open(args.emit_process, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.emit_process, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InputError(f"cannot write process "
+                                 f"{args.emit_process!r}: {exc}")
             lines.append(f"process written to {args.emit_process} "
                          f"({len(word)} steps)")
             payload["process_steps"] = len(word)

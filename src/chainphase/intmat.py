@@ -1,21 +1,12 @@
 """Exact integer matrices: sparse unit-pivot elimination and Smith form.
 
 The sparse matrix takes rows as dicts keyed by arbitrary hashable
-column labels, which lets callers index columns by domain objects
-(e.g. generator/configuration pairs) instead of integers.  Elimination
+columns, and keys every table by the columns it is given.  Elimination
 repeatedly picks a +-1 entry, clears its column with that row, and
 drops both the row and the column; this splits off a trivial cyclic
 factor each time, so the invariant factors greater than one of the
 cokernel are preserved.  The dense Smith routine is the brute-force
 oracle used on small residuals and in randomized cross-checks.
-
-Column labels are interned: ``add_row`` gives each new label the next
-dense int, in first-seen order, and every internal table is keyed by
-those ints, so the row arithmetic hashes small ints rather than nested
-label tuples.  Labels come back only at the boundary: the ``rows``
-view, ``columns()``, ``allowed_cols``, the elimination log and
-``to_dense``.  Since ints are handed out in label order, every order
-below is the same whether read in ints or in labels.
 
 Pivots follow the Markowitz rule (Markowitz 1957): a +-1 entry costs
 (length of its row - 1) * (nonzeros in its column - 1), a bound on the
@@ -50,7 +41,7 @@ _NO_UNIT = 1 << 62
 
 
 class SparseIntMatrix:
-    """A sparse integer matrix over hashable column labels.
+    """A sparse integer matrix over hashable columns.
 
     >>> m = SparseIntMatrix([{"x": 1, "y": 2}, {"y": 4}])
     >>> m.shape
@@ -59,32 +50,21 @@ class SparseIntMatrix:
     {1: {'x': 1, 'y': 2}, 2: {'y': 4}}
     """
 
-    __slots__ = ("_rows", "_col_rows", "_low", "_next_id", "_labels",
-                 "_index")
+    __slots__ = ("_rows", "_col_rows", "_low", "_next_id")
 
     def __init__(self, rows: Iterable[Mapping[Hashable, int]] = ()):
-        # Row id -> {column id: value}; column id -> label and back.
-        self._rows: dict[int, dict[int, int]] = {}
-        self._col_rows: dict[int, set[int]] = {}
-        # While eliminating, by column id: a lower bound on the length
-        # of its shortest row with a +-1 there.
-        self._low: list[int] = []
+        # Row id -> {column: value}; column -> ids of its rows.
+        self._rows: dict[int, dict[Hashable, int]] = {}
+        self._col_rows: dict[Hashable, set[int]] = {}
+        # While eliminating, by column: a lower bound on the length of
+        # its shortest row with a +-1 there.
+        self._low: dict[Hashable, int] = {}
         self._next_id = 1
-        self._labels: list = []
-        self._index: dict[Hashable, int] = {}
         for row in rows:
             self.add_row(row)
 
     def add_row(self, row: Mapping[Hashable, int]) -> None:
-        index, labels = self._index, self._labels
-        entries = {}
-        for label, v in row.items():
-            if v:
-                c = index.get(label)
-                if c is None:
-                    c = index[label] = len(labels)
-                    labels.append(label)
-                entries[c] = int(v)
+        entries = {c: int(v) for c, v in row.items() if v}
         if not entries:
             return
         rid = self._next_id
@@ -95,26 +75,21 @@ class SparseIntMatrix:
 
     @property
     def rows(self) -> dict[int, dict]:
-        """The rows by row id, keyed by column label (a fresh copy)."""
-        labels = self._labels
-        return {rid: {labels[c]: v for c, v in row.items()}
-                for rid, row in self._rows.items()}
+        """The rows by row id, keyed by column (a fresh copy)."""
+        return {rid: dict(row) for rid, row in self._rows.items()}
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self._rows), len(self._col_rows)
 
     def columns(self):
-        labels = self._labels
-        return {labels[c] for c in self._col_rows}
+        return set(self._col_rows)
 
     def copy(self) -> "SparseIntMatrix":
         out = SparseIntMatrix()
         out._rows = {rid: dict(row) for rid, row in self._rows.items()}
         out._col_rows = {c: set(rids) for c, rids in self._col_rows.items()}
         out._next_id = self._next_id
-        out._labels = list(self._labels)
-        out._index = dict(self._index)
         return out
 
     def _remove_row(self, rid: int) -> None:
@@ -166,8 +141,8 @@ class SparseIntMatrix:
 
         Ties go to the first entry in scan order: columns in
         ``_col_rows`` order, then each column's rows in set order.
-        Returns None when no allowed column (a set of column ids, or
-        None for all) holds a +-1.
+        Returns None when no allowed column (a set of columns, or None
+        for all) holds a +-1.
         """
         rows, low = self._rows, self._low
         best = None
@@ -211,19 +186,16 @@ class SparseIntMatrix:
         terms of the surviving ones, which is enough to lift solutions
         back through the elimination.  With ``allowed_cols`` given,
         only pivots in those columns are taken (the remaining matrix
-        may then still contain unit entries elsewhere); labels the
+        may then still contain unit entries elsewhere); columns the
         matrix never had are ignored.
         """
-        index, labels = self._index, self._labels
-        allowed = None if allowed_cols is None else {
-            index[label] for label in allowed_cols if label in index}
         # 0 bounds every length: each column is scanned when first met.
-        self._low = [0] * len(labels)
+        self._low = dict.fromkeys(self._col_rows, 0)
         log = []
         while True:
-            pick = self._pick_pivot(allowed)
+            pick = self._pick_pivot(allowed_cols)
             if pick is None:
-                self._low = []
+                self._low = {}
                 return log
             rid, c = pick
             pivot_row = self._rows[rid]
@@ -233,13 +205,11 @@ class SparseIntMatrix:
                     self._add_multiple(other, c, pivot_row, pivot_val)
             self._remove_row(rid)
             # The recorded row maps the pivot column to survivors only.
-            log.append((labels[c], pivot_val,
-                        {labels[k]: v for k, v in pivot_row.items()}))
+            log.append((c, pivot_val, pivot_row))
 
     def to_dense(self):
-        """(matrix as list of lists, ordered column labels)."""
-        labels = self._labels
-        order = sorted(self._col_rows, key=lambda c: repr(labels[c]))
+        """(matrix as list of lists, ordered columns)."""
+        order = sorted(self._col_rows, key=repr)
         position = {c: i for i, c in enumerate(order)}
         dense = []
         for rid in sorted(self._rows):
@@ -247,7 +217,7 @@ class SparseIntMatrix:
             for c, v in self._rows[rid].items():
                 vec[position[c]] = v
             dense.append(vec)
-        return dense, [labels[c] for c in order]
+        return dense, order
 
     def __repr__(self):
         r, c = self.shape

@@ -39,24 +39,31 @@ class ExcitationModel:
 
     Attributes: ``modulus`` (fusion group Z_N), ``p``, ``d``,
     ``generators`` (the (p+1)-simplices, ascending), ``configurations``
-    (every p-boundary, as canonical state keys), ``moves`` (generator
-    -> boundary Chain mod N).  Generators and configurations are
-    numbered by their positions, and every move of every configuration
-    is recorded once, in both directions, as a table of those numbers;
-    ``step`` and the expansion of words read it back.
+    (every p-boundary, as canonical state keys), ``terms`` (term
+    number -> (generator, configuration key)).  Generators and
+    configurations are numbered by their positions, and every move of
+    every configuration is recorded once, in both directions, as a
+    table of those numbers; ``step`` and the expansion of words read it
+    back.  The term theta(s, a) is numbered s's number * |A| + a's
+    number, and identity rows and matrix columns are keyed by it.
+
+    >>> m = build_model(2, 0, 2)
+    >>> list(gen_identities(m)[0].items())[:2]
+    [(1, -1), (42, -1)]
+    >>> m.terms[42] == (m.generators[5], m.configurations[2])
+    True
+    >>> m.terms[42]
+    ((2, 3), (((0,), 1), ((1,), 1), ((2,), 1), ((3,), 1)))
     """
 
-    __slots__ = ("modulus", "p", "d", "generators", "moves",
-                 "configurations", "_number", "_gen_number", "_table",
-                 "_labels")
+    __slots__ = ("modulus", "p", "d", "generators", "configurations",
+                 "terms", "_number", "_gen_number", "_table")
 
-    def __init__(self, modulus, p, d, generators, moves, configurations,
-                 steps):
+    def __init__(self, modulus, p, d, generators, configurations, steps):
         self.modulus = modulus
         self.p = p
         self.d = d
         self.generators = generators
-        self.moves = moves
         self.configurations = configurations
         number = self._number = {key: i
                                  for i, key in enumerate(configurations)}
@@ -68,16 +75,13 @@ class ExcitationModel:
             sign: [[number[steps[sign, s][key]] for key in configurations]
                    for s in generators]
             for sign in (1, -1)}
-        # The (generator, configuration) label of each numbered term,
-        # one object per label, so equal labels compare by identity.
-        self._labels = [(s, a) for s in generators for a in configurations]
-
-    def state(self, key) -> Chain:
-        return Chain(self.p, dict(key), self.modulus)
+        self.terms = tuple((s, a) for s in generators
+                           for a in configurations)
 
     def step(self, key, sign, s):
         """The configuration key a step (sign +-1, generator s) leaves
-        at ``key``: the table form of ``state(key) +- moves[s]``.
+        at ``key``: the table form of adding sign times the chain
+        boundary of s to the configuration.
 
         >>> m = build_model(2, 0, 2)
         >>> a, s = m.configurations[3], m.generators[0]
@@ -134,8 +138,8 @@ def build_model(modulus: int, p: int, d: int) -> ExcitationModel:
                 steps[1, s][key] = new_key
                 steps[-1, s][new_key] = key
         frontier = nxt
-    return ExcitationModel(modulus, p, d, generators, moves,
-                           tuple(sorted(seen)), steps)
+    return ExcitationModel(modulus, p, d, generators, tuple(sorted(seen)),
+                           steps)
 
 
 def _expand_numbered(word, a: int, model: ExcitationModel) -> dict:
@@ -150,12 +154,6 @@ def _expand_numbered(word, a: int, model: ExcitationModel) -> dict:
         key = g * size + acting
         expr[key] = expr.get(key, 0) + sign
     return {k: v for k, v in expr.items() if v}
-
-
-def _labelled(expr: dict, model: ExcitationModel) -> dict:
-    """A numbered expression keyed by (generator, configuration key)."""
-    labels = model._labels
-    return {labels[k]: v for k, v in expr.items()}
 
 
 def _numbered_word(word, model: ExcitationModel) -> list:
@@ -173,8 +171,9 @@ def expand_theta(word, a_key, model: ExcitationModel) -> dict:
     if not model.is_configuration(a_key):
         raise ValueError(f"state {a_key} is not a configuration of "
                          f"{model!r}")
-    return _labelled(_expand_numbered(_numbered_word(word, model),
-                                      model._number[a_key], model), model)
+    expr = _expand_numbered(_numbered_word(word, model),
+                            model._number[a_key], model)
+    return {model.terms[k]: v for k, v in expr.items()}
 
 
 def inverse_word(word):
@@ -229,7 +228,8 @@ def gen_identities(model: ExcitationModel, max_depth: int = 3) -> list[dict]:
     """Identity expressions: commutator words expanded at every state.
 
     Every realization maps these to zero; they are the rows of the
-    relation matrix whose cokernel torsion classifies processes.
+    relation matrix whose cokernel torsion classifies processes.  Rows
+    are keyed by term number (see ``ExcitationModel.terms``).
     Duplicates and empty expansions are dropped.
     """
     out = []
@@ -244,7 +244,7 @@ def gen_identities(model: ExcitationModel, max_depth: int = 3) -> list[dict]:
             if fingerprint in seen:
                 continue
             seen.add(fingerprint)
-            out.append(_labelled(expr, model))
+            out.append(expr)
     return out
 
 
@@ -392,7 +392,7 @@ def lift_halved_expression(residual: SparseIntMatrix,
     for rid in sorted(rows):
         row = rows[rid]
         if all(v % 2 == 0 for v in row.values()):
-            halved = {col: v // 2 for col, v in row.items()}
+            halved = {model.terms[col]: v // 2 for col, v in row.items()}
             try:
                 return reconstruct_process(halved, model)
             except ReconstructError:
@@ -420,8 +420,9 @@ def is_legal_term(s, a_key, f: dict, model: ExcitationModel) -> bool:
 
 def legality_partition(matrix: SparseIntMatrix, f: dict,
                        model: ExcitationModel) -> set:
+    terms = model.terms
     return {col for col in matrix.columns()
-            if not is_legal_term(col[0], col[1], f, model)}
+            if not is_legal_term(*terms[col], f, model)}
 
 
 def random_sign_function(model: ExcitationModel, rng) -> dict:

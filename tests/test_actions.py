@@ -74,6 +74,13 @@ class TestRegistry:
         with pytest.raises(ValueError, match=name):
             get_action(name, bad_n)
 
+    @pytest.mark.parametrize("bad_n", [0, -3])
+    @pytest.mark.parametrize("name", action_names())
+    def test_nonpositive_modulus_rejected(self, name, bad_n):
+        with pytest.raises(ValueError,
+                           match=f"action {name} needs .*got N={bad_n}$"):
+            get_action(name, bad_n)
+
     def test_terms_are_cached(self):
         assert get_action("cube3", 2).terms is get_action("cube3", 5).terms
 

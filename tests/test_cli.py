@@ -91,6 +91,13 @@ class TestEval:
         assert doc["steps"] == 6
         assert doc["cancellation_ok"]
 
+    @pytest.mark.parametrize("N", ["0", "-3"])
+    def test_nonpositive_modulus_is_bad_input(self, capsys, N):
+        code, out, err = run(capsys, "eval", "--action", "pontryagin9",
+                             "--N", N)
+        assert code == 2 and not out
+        assert f"needs N > 0, got N={N}" in err
+
     def test_schema_keys(self, capsys):
         _, doc, _ = run_json(capsys, "eval", "--action", "cube3", "--N", "3")
         assert set(doc) == {"seed", "action", "N", "D", "steps", "phase",
@@ -365,6 +372,23 @@ class TestSearch:
                            "--attempts", "3", "--checkpoint", str(ck))
         assert code == 2
         assert "checkpoint" in err and str(ck) in err
+        assert "Traceback" not in err
+
+    def test_unwritable_checkpoint_is_bad_input(self, capsys, tmp_path):
+        ck = tmp_path / "no" / "such" / "scan.json"
+        code, out, err = run(capsys, "search", "--G", "Z2", "--p", "0",
+                             "--d", "2", "--stretch-membrane",
+                             "--attempts", "2", "--checkpoint", str(ck))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and str(ck) in err
+        assert "Traceback" not in err
+
+    def test_unwritable_emit_process_is_bad_input(self, capsys, tmp_path):
+        out_path = tmp_path / "no" / "such" / "word.txt"
+        code, out, err = run(capsys, "search", "--G", "Z3", "--p", "0",
+                             "--d", "2", "--emit-process", str(out_path))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and str(out_path) in err
         assert "Traceback" not in err
 
     def test_emit_process_bytes(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from functools import partial
 
 import pytest
 
@@ -49,13 +50,28 @@ def state_key(state):
     return tuple(sorted(state.items()))
 
 
-def chain_expand_theta(word, a_key, model):
-    """Oracle: expand_theta stepping validated Chains by model.moves."""
-    def shift(a, sign, s):
-        return a + model.moves[s] if sign > 0 else a - model.moves[s]
+def state(model, key):
+    """The validated Chain a configuration key names."""
+    return Chain(model.p, dict(key), model.modulus)
 
+
+def shift(model, a, sign, s):
+    """Chain a moved one step (sign +-1) by generator s: plus or minus
+    the boundary of s."""
+    move = Chain(model.p, dict(simplex_faces(s)), model.modulus)
+    return a + move if sign > 0 else a - move
+
+
+def labelled(expr, model):
+    """A term-numbered expression keyed by (generator, configuration)."""
+    return {model.terms[k]: v for k, v in expr.items()}
+
+
+def chain_expand_theta(word, a_key, model):
+    """Oracle: expand_theta stepping validated Chains by their moves."""
     expr = {}
-    for sign, s, acting, _ in walk(word, model.state(a_key), shift):
+    for sign, s, acting, _ in walk(word, state(model, a_key),
+                                   partial(shift, model)):
         key = (s, state_key(acting))
         expr[key] = expr.get(key, 0) + sign
     return {k: v for k, v in expr.items() if v}
@@ -92,10 +108,10 @@ def path_between(model, src_key, dst_key):
     while frontier:
         nxt = []
         for key in frontier:
-            state = model.state(key)
-            for s, move in model.moves.items():
-                for sign, new in ((1, state + move), (-1, state - move)):
-                    nk = tuple(sorted(new.items()))
+            a = state(model, key)
+            for s in model.generators:
+                for sign in (1, -1):
+                    nk = state_key(shift(model, a, sign, s))
                     if nk not in seen:
                         seen[nk] = seen[key] + ((sign, s),)
                         if nk == dst_key:
@@ -129,7 +145,7 @@ class TestBuildModel:
     def test_loop_configurations_are_cycles(self):
         m = build_model(2, 1, 3)
         for key in m.configurations:
-            assert not m.state(key).boundary()
+            assert not state(m, key).boundary()
 
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
@@ -139,10 +155,19 @@ class TestBuildModel:
     def test_step_table_is_move_arithmetic(self, shape):
         model = build_model(*shape)
         for a in model.configurations:
-            state = model.state(a)
-            for s, move in model.moves.items():
-                assert model.step(a, 1, s) == state_key(state + move)
-                assert model.step(a, -1, s) == state_key(state - move)
+            for s in model.generators:
+                for sign in (1, -1):
+                    assert model.step(a, sign, s) \
+                        == state_key(shift(model, state(model, a), sign, s))
+
+    @pytest.mark.parametrize("shape", MODEL_SHAPES, ids=shape_id)
+    def test_terms_are_numbered_generator_major(self, shape):
+        model = build_model(*shape)
+        size = len(model.configurations)
+        for g, s in enumerate(model.generators):
+            for i, a in enumerate(model.configurations):
+                assert model.terms[g * size + i] == (s, a)
+        assert len(model.terms) == len(model.generators) * size
 
     def test_integer_group_rejected(self):
         with pytest.raises(ValueError):
@@ -188,11 +213,10 @@ class TestExpandTheta:
             w1 = random_word(particle3, rng, rng.randint(1, 5))
             w2 = random_word(particle3, rng, rng.randint(1, 5))
             a = rng.choice(particle3.configurations)
-            state = particle3.state(a)
+            chain = state(particle3, a)
             for sign, s in w1:
-                move = particle3.moves[s]
-                state = state + move if sign > 0 else state - move
-            mid = tuple(sorted(state.items()))
+                chain = shift(particle3, chain, sign, s)
+            mid = state_key(chain)
             merged = dict(expand_theta(w1, a, particle3))
             for k, v in expand_theta(w2, mid, particle3).items():
                 merged[k] = merged.get(k, 0) + v
@@ -210,11 +234,10 @@ class TestIdentityWords:
         rng = random.Random(5)
         for word in identity_words(particle3, 3):
             a = rng.choice(particle3.configurations)
-            state = particle3.state(a)
+            chain = state(particle3, a)
             for sign, s in word:
-                move = particle3.moves[s]
-                state = state + move if sign > 0 else state - move
-            assert tuple(sorted(state.items())) == a
+                chain = shift(particle3, chain, sign, s)
+            assert state_key(chain) == a
 
     def test_depth2_words_have_disjoint_supports(self, particle):
         for word in identity_words(particle, 2):
@@ -230,11 +253,12 @@ class TestIdentityWords:
                                                          (2, 1, 3)],
                              ids=shape_id)
     def test_rows_match_expansion_on_keys(self, shape):
-        # The same rows, in the same order, each in the same dict order.
+        # The same rows, in the same order, each in the same dict order,
+        # once each term number is read as its label.
         model = build_model(*shape)
         got = gen_identities(model, 3)
         want = key_gen_identities(model, 3)
-        assert [list(row.items()) for row in got] \
+        assert [list(labelled(row, model).items()) for row in got] \
             == [list(row.items()) for row in want]
 
 
@@ -247,8 +271,8 @@ class TestBilinearRealizations:
         for _ in range(25):
             lam = random_bilinear_realization(particle, rng)
             for expr in rows:
-                assert evaluate_expression(expr, lam, particle) \
-                    == Phase(0, 1)
+                assert evaluate_expression(labelled(expr, particle), lam,
+                                           particle) == Phase(0, 1)
 
     def test_mod3_identities_evaluate_to_zero(self, particle3):
         rows = gen_identities(particle3, 3)
@@ -256,8 +280,8 @@ class TestBilinearRealizations:
         for _ in range(5):
             lam = random_bilinear_realization(particle3, rng)
             for expr in rows:
-                assert evaluate_expression(expr, lam, particle3) \
-                    == Phase(0, 1)
+                assert evaluate_expression(labelled(expr, particle3), lam,
+                                           particle3) == Phase(0, 1)
 
     def test_lambda_is_local(self, particle):
         lam = random_bilinear_realization(particle, random.Random(1))
@@ -314,12 +338,10 @@ class TestReconstruct:
         for _ in range(60):
             base = rng.choice(particle3.configurations)
             w = random_word(particle3, rng, rng.randint(2, 8))
-            state = particle3.state(base)
+            chain = state(particle3, base)
             for sign, s in w:
-                move = particle3.moves[s]
-                state = state + move if sign > 0 else state - move
-            closed = w + path_between(particle3,
-                                      tuple(sorted(state.items())), base)
+                chain = shift(particle3, chain, sign, s)
+            closed = w + path_between(particle3, state_key(chain), base)
             expr = expand_theta(closed, base, particle3)
             if not expr:
                 continue
@@ -405,7 +427,8 @@ class TestLegality:
         rng = random.Random(17)
         for _ in range(10):
             f = random_sign_function(model, rng)
-            for s, a_key in columns:
+            for col in columns:
+                s, a_key = model.terms[col]
                 assert is_legal_term(s, a_key, f, model) \
                     == chain_is_legal_term(s, a_key, f, model)
 
