@@ -10,12 +10,11 @@ oracle used on small residuals and in randomized cross-checks.
 
 Pivots follow the Markowitz rule (Markowitz 1957): a +-1 entry costs
 (length of its row - 1) * (nonzeros in its column - 1), a bound on the
-fill-in it causes, and the cheapest is taken.  Ties go to the first
-entry in scan order, which is columns in the order they entered the
-matrix (a column that empties and comes back counts as new), then the
-column's rows in the iteration order of its row-id set.  That set
-order follows the set's own history of adds and discards, so a copy,
-whose sets are rebuilt, may break ties differently from its original.
+fill-in it causes, and the cheapest is taken.  Ties go to the column
+that entered the matrix first (a column that empties and comes back
+counts as new), then, within it, to the least row id.  Nothing else in
+elimination depends on iteration order, so a copy eliminates exactly
+as its original does.
 
 While it eliminates, the matrix keeps one number per column: a lower
 bound on the length of the shortest row holding a +-1 there.  A bound
@@ -139,10 +138,9 @@ class SparseIntMatrix:
     def _pick_pivot(self, allowed=None):
         """The unit entry of least Markowitz cost, as (row id, column).
 
-        Ties go to the first entry in scan order: columns in
-        ``_col_rows`` order, then each column's rows in set order.
-        Returns None when no allowed column (a set of columns, or None
-        for all) holds a +-1.
+        Ties go to the first column in ``_col_rows`` order, then to the
+        least row id in it.  Returns None when no allowed column (a set
+        of columns, or None for all) holds a +-1.
         """
         rows, low = self._rows, self._low
         best = None
@@ -173,10 +171,9 @@ class SparseIntMatrix:
                     break
         if best is None:
             return None
-        for rid in self._col_rows[best]:
-            row = rows[rid]
-            if len(row) == best_length and abs(row[best]) == 1:
-                return rid, best
+        rid = min(r for r in self._col_rows[best]
+                  if len(rows[r]) == best_length and abs(rows[r][best]) == 1)
+        return rid, best
 
     def eliminate(self, allowed_cols=None) -> list:
         """Pivot away unit entries; returns the elimination log.

@@ -20,7 +20,7 @@ import json
 import os
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 from .intmat import SparseIntMatrix, smith_invariant_factors
@@ -229,8 +229,10 @@ def gen_identities(model: ExcitationModel, max_depth: int = 3) -> list[dict]:
 
     Every realization maps these to zero; they are the rows of the
     relation matrix whose cokernel torsion classifies processes.  Rows
-    are keyed by term number (see ``ExcitationModel.terms``).
-    Duplicates and empty expansions are dropped.
+    are keyed by term number (see ``ExcitationModel.terms``).  Empty
+    expansions are dropped, and so is any row equal to an earlier one
+    up to sign (a row and its negative span the same lattice), found
+    by its sorted (term, coefficient) pairs as one flat tuple.
     """
     out = []
     seen = set()
@@ -240,7 +242,10 @@ def gen_identities(model: ExcitationModel, max_depth: int = 3) -> list[dict]:
             expr = _expand_numbered(word, a, model)
             if not expr:
                 continue
-            fingerprint = frozenset(expr.items())
+            items = sorted(expr.items())
+            if items[0][1] < 0:
+                items = [(k, -v) for k, v in items]
+            fingerprint = tuple(chain.from_iterable(items))
             if fingerprint in seen:
                 continue
             seen.add(fingerprint)
@@ -260,14 +265,8 @@ def torsion(residual: SparseIntMatrix) -> list[int]:
 
 
 def classify(model: ExcitationModel, max_depth: int = 3):
-    """(torsion factors, residual, elimination log) for the model.
-
-    Pivot ties follow the order of the matrix's row-id sets, which a
-    copy rebuilds; the recorded residuals and processes come from
-    eliminating a copy, so one is taken, and the original is dropped
-    before the elimination starts.
-    """
-    residual = identity_matrix(model, max_depth).copy()
+    """(torsion factors, residual, elimination log) for the model."""
+    residual = identity_matrix(model, max_depth)
     log = residual.eliminate()
     return torsion(residual), residual, log
 
@@ -456,7 +455,8 @@ def legality_search(model: ExcitationModel, attempts: int,
     "depth", "seed"}); resuming under any other value of one of them
     raises ValueError naming the field, while a checkpoint without the
     key resumes unchecked.  A checkpoint that cannot be read back raises
-    ValueError, and so does a negative ``attempts``.
+    ValueError, and so does a negative ``attempts``; one that cannot be
+    written raises OSError before the identity matrix is built.
 
     A sign function fixes the illegal columns, so one call runs the
     trial of each distinct sign vector once: a table of outcomes
@@ -490,6 +490,10 @@ def legality_search(model: ExcitationModel, attempts: int,
         if mismatch:
             raise ValueError(f"checkpoint {str(path)!r} belongs to another "
                              f"scan: {'; '.join(mismatch)}")
+    tmp = path.with_name(path.name + ".tmp") if path else None
+    if tmp and done < attempts:
+        tmp.touch()
+        tmp.unlink()
     base = identity_matrix(model, max_depth)
     # Sign vector (in combinations order) -> (success, residual shape):
     # f fixes the illegal columns, so a repeated f repeats its trial.
@@ -508,11 +512,10 @@ def legality_search(model: ExcitationModel, attempts: int,
                 "f": {"".join(map(str, t)): v for t, v in sorted(f.items())},
                 "residual_shape": list(shape),
             })
-        if path:
+        if tmp:
             # Temp file, then rename over: a kill leaves the old
             # checkpoint or the new one, never a truncated one.
             state = rng.getstate()
-            tmp = path.with_name(path.name + ".tmp")
             tmp.write_text(json.dumps({
                 "done": done,
                 "successes": successes,

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from chainphase import cli
+from chainphase import cli, search
 from chainphase.cli import main
 from chainphase.fileio import data_text
 from chainphase.simplicial import Phase
@@ -296,21 +296,20 @@ class TestSearch:
         assert doc["phase"] == {"num": 1, "den": 2}
 
     @pytest.mark.parametrize("model,factors,shape,steps,digest", [
-        ((2, 0, 2), [4], [144, 6], 14, "d6f46d4e3ef4d0fb2217f13cc1a8c3a1"
+        ((2, 0, 2), [4], [72, 6], 14, "d6f46d4e3ef4d0fb2217f13cc1a8c3a1"
          "6c7bddb09c49954322f0451a3c481597"),
-        ((3, 0, 2), [3], [624, 6], 22, "d6072586aa7c853665f54bb2c68a8319"
-         "ebd7632f8f7e8da551da63bfe1107966"),
-        ((2, 0, 3), [2], [934, 6], 12, "15b8c7a19556600ec7359fb0520e2b01"
-         "cbc231b06631fa1e81661786c67c354b"),
-        ((2, 1, 3), [2], [582, 30], 38, "29d97986ecc1197200f98b5a5b142d73"
-         "2b469fad2d0ac26e312b4e48de895d25"),
+        ((3, 0, 2), [3], [443, 6], 20, "c04e0f41034f7366a9ee60beee020a69"
+         "111e53fdc21a4259acf73ff652c35246"),
+        ((2, 0, 3), [2], [572, 10], 14, "a16e9a3d7775d5395a0d34a5c5700988"
+         "47471bda6230ebe40cd11bf3939a0132"),
+        ((2, 1, 3), [2], [177, 41], 60, "f957d09fb41b921d2bed81c7451e604b"
+         "980a01bf60ab760cf1b39c4f1eb774d4"),
     ], ids=["Z2-p0-d2", "Z3-p0-d2", "Z2-p0-d3", "Z2-p1-d3"])
     def test_classification_is_pinned(self, capsys, tmp_path, model,
                                       factors, shape, steps, digest):
-        # Pivot ties decide the residual and the emitted word.  These
-        # are the recorded values, which come from eliminating a copy of
-        # the identity matrix: eliminating the original itself gives the
-        # loop model [752, 36] and a 50-step word.
+        # The identity rows (deduplicated up to sign) and the pivot
+        # tie rule (first column, then least row id) decide the
+        # residual and the emitted word.
         N, p, d = model
         out = tmp_path / "word.txt"
         code, doc, _ = run_json(capsys, "search", "--G", f"Z{N}", "--p",
@@ -374,7 +373,13 @@ class TestSearch:
         assert "checkpoint" in err and str(ck) in err
         assert "Traceback" not in err
 
-    def test_unwritable_checkpoint_is_bad_input(self, capsys, tmp_path):
+    def test_unwritable_checkpoint_is_bad_input(self, capsys, tmp_path,
+                                                monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("identity matrix built")
+
+        # Reported before any search work starts.
+        monkeypatch.setattr(search, "identity_matrix", unreachable)
         ck = tmp_path / "no" / "such" / "scan.json"
         code, out, err = run(capsys, "search", "--G", "Z2", "--p", "0",
                              "--d", "2", "--stretch-membrane",
@@ -411,15 +416,15 @@ class TestSearch:
         assert doc["done"] == 7
         assert doc["successes"] == [
             {"trial": trial, "f": {"0": 1, "1": 1, "2": 1, "3": 1},
-             "residual_shape": [144, 6]} for trial in (2, 4, 7)]
+             "residual_shape": [72, 6]} for trial in (2, 4, 7)]
         # The scan's identity, written last ...
         assert list(doc)[-1] == "scan"
         assert doc.pop("scan") == {"N": 2, "p": 0, "d": 2, "depth": 3,
                                    "seed": 5}
         # ... and the rest of the document, the RNG state included,
-        # byte for byte as before the key existed.
+        # byte for byte.
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == (
-            "6bf9d910a214e66e44d38fc22a4932e4766ce077000ced071d9f7076c915a865")
+            "d5e118f2e95c78614b6ee594092f12c4682386a7929a6b3764d794e7257d407d")
 
     def test_checkpoint_of_another_scan_is_bad_input(self, capsys,
                                                      tmp_path):

@@ -38,8 +38,9 @@ def from_dense(rows):
 class RescanMatrix:
     """Oracle: elimination whose picker rescans every nonzero per pivot.
 
-    The same row ids and the same set updates as `SparseIntMatrix`, so
-    scan order agrees with an uncopied matrix.
+    The same row ids and the same column order as `SparseIntMatrix`;
+    each column's rows are scanned by ascending row id, so the first
+    entry of least cost is the least row id among the cheapest.
     """
 
     def __init__(self, rows=()):
@@ -65,7 +66,7 @@ class RescanMatrix:
         for c, rids in self.col_rows.items():
             if allowed_cols is not None and c not in allowed_cols:
                 continue
-            for rid in rids:
+            for rid in sorted(rids):
                 if abs(self.mat[rid][c]) != 1:
                     continue
                 cost = (len(self.mat[rid]) - 1) * (len(rids) - 1)
@@ -244,7 +245,7 @@ class TestPivotOrder:
         mat = SparseIntMatrix(rows)
         for m in (mat.copy(), mat):
             assert m.eliminate(allowed_cols) == want_log
-            assert m.rows == want_rows
+            assert list(m.rows.items()) == list(want_rows.items())
 
     def test_random_ties(self):
         rng = random.Random(23)
@@ -288,20 +289,19 @@ class TestPivotOrderAtScale:
                 for _ in range(n)]
 
     @staticmethod
-    def assert_original_matches(rows, allowed_cols=None):
-        # A copy's row-id sets can iterate in another order than the
-        # rescan's, so only the original is compared; eliminating a
-        # copy first must leave the original's bookkeeping alone.
+    def assert_copy_and_original_match(rows, allowed_cols=None):
+        # The copy eliminates first, so it must leave the original's
+        # bookkeeping alone; both reproduce the rescan exactly.
         want_log, want_rows = rescan_eliminate(rows, allowed_cols)
         mat = SparseIntMatrix(rows)
-        mat.copy().eliminate(allowed_cols)
-        assert mat.eliminate(allowed_cols) == want_log
-        assert list(mat.rows.items()) == list(want_rows.items())
+        for m in (mat.copy(), mat):
+            assert m.eliminate(allowed_cols) == want_log
+            assert list(m.rows.items()) == list(want_rows.items())
 
     def test_random(self):
         rng = random.Random(37)
         for _ in range(12):
-            self.assert_original_matches(self.large_rows(rng))
+            self.assert_copy_and_original_match(self.large_rows(rng))
 
     def test_random_allowed_cols(self):
         rng = random.Random(41)
@@ -309,7 +309,7 @@ class TestPivotOrderAtScale:
             rows = self.large_rows(rng)
             cols = sorted({c for row in rows for c in row})
             allowed = set(rng.sample(cols, rng.randint(1, len(cols))))
-            self.assert_original_matches(rows, allowed)
+            self.assert_copy_and_original_match(rows, allowed)
 
     def test_rows_added_between_eliminations(self):
         # Rows added between eliminations, some in columns that
@@ -331,11 +331,13 @@ class TestPivotOrderAtScale:
             assert list(mat.rows.items()) == list(oracle.mat.items())
 
     def test_particle_identity_matrix_in_three_dimensions(self):
-        self.assert_original_matches(gen_identities(build_model(2, 0, 3)))
+        self.assert_copy_and_original_match(
+            gen_identities(build_model(2, 0, 3)))
 
     def test_legality_trials(self):
         # Every sign function of the Z2 d=2 particle model: the trial
-        # eliminates the illegal columns of a copy of the base matrix.
+        # eliminates the illegal columns of a copy of the base matrix,
+        # exactly as the original would.
         model = build_model(2, 0, 2)
         rows = gen_identities(model)
         base = identity_matrix(model, 3)
@@ -344,9 +346,9 @@ class TestPivotOrderAtScale:
             f = dict(zip(vertices, signs))
             illegal = legality_partition(base, f, model)
             want_log, want_rows = rescan_eliminate(rows, illegal)
-            work = base.copy()
-            assert work.eliminate(illegal) == want_log
-            assert list(work.rows.items()) == list(want_rows.items())
+            for work in (base.copy(), identity_matrix(model, 3)):
+                assert work.eliminate(illegal) == want_log
+                assert list(work.rows.items()) == list(want_rows.items())
             ok, residual = legality_attempt(base, f, model)
             assert residual.rows == want_rows
             assert ok == (not illegal & residual.columns())
@@ -367,6 +369,20 @@ class TestCokernelTorsion:
         assert cokernel_torsion(m) == [4]
         assert [v for v in sympy_factors([[1, 0, 2], [0, 1, -1],
                                           [2, 3, 5]]) if v > 1] == [4]
+
+    def test_negated_copies_keep_torsion(self):
+        # A row and its negative span the same lattice, so appending
+        # negated copies of some rows leaves the cokernel alone.
+        rng = random.Random(47)
+        for _ in range(40):
+            n, m = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[rng.randint(-6, 6) if rng.random() < 0.7 else 0
+                     for _ in range(m)] for _ in range(n)]
+            doubled = rows + [[-v for v in row] for row in rows
+                              if rng.random() < 0.6]
+            want = [v for v in sympy_factors(rows) if v > 1]
+            assert cokernel_torsion(from_dense(doubled)) == want, doubled
+            assert [v for v in sympy_factors(doubled) if v > 1] == want
 
     def test_free_cokernel(self):
         assert cokernel_torsion(from_dense([[2, 4]])) == [2]

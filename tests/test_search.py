@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -5,6 +6,7 @@ from functools import partial
 
 import pytest
 
+from chainphase.intmat import SparseIntMatrix
 from chainphase.process import TJUNCTION, walk
 from chainphase.search import (
     VACUUM_KEY,
@@ -23,6 +25,7 @@ from chainphase.search import (
     random_bilinear_realization,
     random_sign_function,
     reconstruct_process,
+    torsion,
 )
 from chainphase import search
 from chainphase.simplicial import Chain, Phase, simplex_faces
@@ -40,6 +43,10 @@ def particle3():
 
 #: (N, p, d): the Z2 and Z3 particle models in d=2, the Z2 loop model.
 MODEL_SHAPES = [(2, 0, 2), (3, 0, 2), (2, 1, 3)]
+
+#: The four models whose classification is pinned: MODEL_SHAPES and
+#: the Z2 particle model in d=3.
+PINNED_SHAPES = MODEL_SHAPES[:2] + [(2, 0, 3), (2, 1, 3)]
 
 
 def shape_id(shape):
@@ -77,20 +84,29 @@ def chain_expand_theta(word, a_key, model):
     return {k: v for k, v in expr.items() if v}
 
 
-def key_gen_identities(model, max_depth=3):
-    """Oracle: identity rows expanded on configuration keys through
-    ``model.step``, deduplicated on label-keyed fingerprints."""
-    out, seen = [], set()
+def key_expansions(model, max_depth=3):
+    """Oracle: every nonempty (word, configuration) expansion, on
+    configuration keys through ``model.step``, in generation order."""
     for word in identity_words(model, max_depth):
         for a_key in model.configurations:
             expr = {}
             for sign, s, acting, _ in walk(word, a_key, model.step):
                 expr[s, acting] = expr.get((s, acting), 0) + sign
             expr = {k: v for k, v in expr.items() if v}
-            fingerprint = frozenset(expr.items())
-            if expr and fingerprint not in seen:
-                seen.add(fingerprint)
-                out.append(expr)
+            if expr:
+                yield expr
+
+
+def key_gen_identities(model, max_depth=3):
+    """Oracle: ``key_expansions`` deduplicated up to sign on label-keyed
+    fingerprints, each row checked against itself and its negative."""
+    out, seen = [], set()
+    for expr in key_expansions(model, max_depth):
+        fingerprint = frozenset(expr.items())
+        negated = frozenset((k, -v) for k, v in expr.items())
+        if fingerprint not in seen and negated not in seen:
+            seen.add(fingerprint)
+            out.append(expr)
     return out
 
 
@@ -247,11 +263,12 @@ class TestIdentityWords:
             assert not set(a) & set(b)
 
     def test_particle_identity_count(self, particle):
-        assert len(gen_identities(particle, 3)) == 312
+        # 312 expansions, none repeated exactly; 144 of them are the
+        # negative of an earlier one.
+        assert len(list(key_expansions(particle, 3))) == 312
+        assert len(gen_identities(particle, 3)) == 168
 
-    @pytest.mark.parametrize("shape", MODEL_SHAPES[:2] + [(2, 0, 3),
-                                                         (2, 1, 3)],
-                             ids=shape_id)
+    @pytest.mark.parametrize("shape", PINNED_SHAPES, ids=shape_id)
     def test_rows_match_expansion_on_keys(self, shape):
         # The same rows, in the same order, each in the same dict order,
         # once each term number is read as its label.
@@ -300,6 +317,32 @@ class TestClassify:
     def test_loop_torsion_is_z2(self):
         factors, _, _ = classify(build_model(2, 1, 3), 3)
         assert factors == [2]
+
+    @pytest.mark.parametrize("shape,factors", zip(PINNED_SHAPES,
+                                                  ([4], [3], [2], [2])),
+                             ids=map(shape_id, PINNED_SHAPES))
+    def test_torsion_matches_every_expansion(self, shape, factors):
+        # The deduplicated rows present the same group as all of them.
+        model = build_model(*shape)
+        number = {term: i for i, term in enumerate(model.terms)}
+        every = SparseIntMatrix({number[k]: v for k, v in expr.items()}
+                                for expr in key_expansions(model, 3))
+        every.eliminate()
+        assert torsion(every) == factors
+        assert classify(model, 3)[0] == factors
+
+    @pytest.mark.parametrize("shape", PINNED_SHAPES, ids=shape_id)
+    def test_copy_classifies_as_the_original(self, shape, monkeypatch):
+        model = build_model(*shape)
+        factors, residual, log = classify(model, 3)
+        real = search.identity_matrix
+        monkeypatch.setattr(search, "identity_matrix",
+                            lambda m, depth: real(m, depth).copy())
+        copy_factors, copy_residual, copy_log = classify(model, 3)
+        assert copy_factors == factors
+        assert copy_log == log
+        assert list(copy_residual.rows.items()) \
+            == list(residual.rows.items())
 
 
 class TestReconstruct:
@@ -444,6 +487,32 @@ class TestLegality:
         assert isinstance(ok, bool)
         # The base matrix is untouched either way.
         assert base.shape == identity_matrix(particle, 3).shape
+
+    @pytest.mark.parametrize("shape,outcomes", [
+        ((2, 0, 2), "1001011001101001"),
+        ((2, 0, 3), "1" * 32),
+    ], ids=["Z2-p0-d2", "Z2-p0-d3"])
+    def test_which_trials_succeed(self, shape, outcomes):
+        # Every sign vector, in product order over the vertices.
+        model = build_model(*shape)
+        base = identity_matrix(model, 3)
+        vertices = [(v,) for v in range(model.d + 2)]
+        got = "".join(
+            "1" if legality_attempt(base, dict(zip(vertices, signs)),
+                                    model)[0] else "0"
+            for signs in itertools.product((1, -1), repeat=len(vertices)))
+        assert got == outcomes
+
+    def test_unwritable_checkpoint_fails_before_the_matrix(
+            self, particle, tmp_path, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("identity matrix built")
+
+        monkeypatch.setattr(search, "identity_matrix", unreachable)
+        ck = tmp_path / "no" / "such" / "scan.json"
+        with pytest.raises(OSError, match=re.escape(str(ck))):
+            legality_search(particle, attempts=2, checkpoint=ck)
+        assert not (tmp_path / "no").exists()
 
     def test_search_requires_mod2(self, particle3):
         with pytest.raises(ValueError):
