@@ -9,6 +9,13 @@ coboundary) on the sub-simplex picked out by ``positions`` inside the
 top cell.  All products are taken over the integer lifts of the input
 and only the final total is divided down to a phase.
 
+Term lists come from the operad, never written out by hand: the cube
+is phi of the word 123, the particle quadratic phi of 12, the cup-1
+terms are ``cup_k_terms``, and the reduced powers are ``p1_terms`` or
+the frozen D^3 listings times ``p1_sign``.  Only ``cs-b3`` (c cup dc)
+and the outer cups into which ``pontryagin9`` splices its cup-1 terms
+place their faces directly.
+
 The first density an action computes compiles its term list into a
 factor tree (``_compile_terms``): each factor becomes an index into a
 value vector holding the input on the top cell's degree-n faces, in
@@ -23,28 +30,27 @@ from __future__ import annotations
 
 from itertools import combinations, groupby
 
-from .cups import cup_k_terms
 from .fileio import load_term_file
-from .operad import p1_terms
+from .operad import cup_k_terms, p1_sign, p1_terms, phi_terms
 from .simplicial import Cochain, Phase, check_simplex, simplex_faces
 
 
-def _shift(positions, offset):
-    return tuple(p + offset for p in positions)
+def _plain_terms(raw) -> tuple:
+    """Action terms of (coefficient, slots) pairs, every factor read
+    from the input itself."""
+    return tuple((coef, tuple((False, slot) for slot in slots))
+                 for coef, slots in raw)
 
 
-def _triple_cup_terms(p: int) -> tuple:
-    """Terms of c cup c cup c for a p-cochain: one front/middle/back term."""
-    front = tuple(range(p + 1))
-    middle = tuple(range(p, 2 * p + 1))
-    back = tuple(range(2 * p, 3 * p + 1))
-    return ((1, ((False, front), (False, middle), (False, back))),)
+def _cup_k_action_terms(p: int, q: int, k: int, delta: bool) -> tuple:
+    """Terms of c cup_k d, with d = delta(c) when ``delta``."""
+    return tuple((sign, ((False, left), (delta, right)))
+                 for sign, left, right in cup_k_terms(p, q, k))
 
 
-def _cup1_delta_terms():
-    """Terms of c cup_1 delta(c) for a 2-cochain, on a 4-simplex."""
-    return tuple((sign, ((False, left), (True, right)))
-                 for sign, left, right in cup_k_terms(2, 3, 1))
+def _cube_terms() -> tuple:
+    """c cup c cup c for a 2-cochain: phi of the word 123."""
+    return _plain_terms(phi_terms((1, 2, 3), (2, 2, 2)))
 
 
 def _pontryagin9_terms() -> tuple:
@@ -54,11 +60,12 @@ def _pontryagin9_terms() -> tuple:
     c cup (c cup_1 dc), with the inner cup-1 terms spliced into the
     front (vertices 0..4) or back (vertices 2..6) face of the 6-simplex.
     """
-    terms = list(_triple_cup_terms(2))
-    for sign, factors in _cup1_delta_terms():
+    terms = list(_cube_terms())
+    cup1_delta = _cup_k_action_terms(2, 3, 1, delta=True)
+    for sign, factors in cup1_delta:
         terms.append((sign, factors + ((False, (4, 5, 6)),)))
-    for sign, factors in _cup1_delta_terms():
-        shifted = tuple((d, _shift(pos, 2)) for d, pos in factors)
+    for sign, factors in cup1_delta:
+        shifted = tuple((d, tuple(v + 2 for v in pos)) for d, pos in factors)
         terms.append((-sign, ((False, (0, 1, 2)),) + shifted))
     return tuple(terms)
 
@@ -67,14 +74,10 @@ def _p1_action_terms(q: int) -> tuple:
     """Signed slot triples of the degree-q first fractional power."""
     name = {4: "d3_4_q4.txt", 5: "d3_6_q5.txt"}.get(q)
     if name is None:
-        raw = p1_terms(q)
-    else:
-        # q = 3 is cheap to generate; the two big lists ship frozen.
-        sign = -1 if (q * (q - 1) // 2 + 1) % 2 else 1
-        raw = tuple((sign * coef, slots)
-                    for coef, slots in load_term_file(name))
-    return tuple((coef, tuple((False, slot) for slot in slots))
-                 for coef, slots in raw)
+        return _plain_terms(p1_terms(q))
+    # q = 3 is cheap to generate; the two big lists ship frozen.
+    return _plain_terms((p1_sign(q) * coef, slots)
+                        for coef, slots in load_term_file(name))
 
 
 def _compile_terms(terms, degree: int, spacetime: int):
@@ -226,32 +229,23 @@ def _cs_terms() -> tuple:
     return ((1, ((False, (0, 1, 2, 3)), (True, (3, 4, 5, 6, 7)))),)
 
 
-def _sq4_terms() -> tuple:
-    return tuple((sign, ((False, left), (False, right)))
-                 for sign, left, right in cup_k_terms(5, 5, 1))
-
-
 def _particle_quad_terms() -> tuple:
-    return ((1, ((False, (0, 1, 2)), (False, (2, 3, 4)))),)
-
-
-def _particle_quad_even_terms() -> tuple:
-    terms = list(_particle_quad_terms())
-    for sign, left, right in cup_k_terms(2, 3, 1):
-        terms.append((sign, ((False, left), (True, right))))
-    return tuple(terms)
+    """c cup c for a 2-cochain: phi of the word 12."""
+    return _plain_terms(phi_terms((1, 2), (2, 2)))
 
 
 _TERM_BUILDERS = {
-    "cube3": lambda: _triple_cup_terms(2),
+    "cube3": _cube_terms,
     "pontryagin9": _pontryagin9_terms,
     "p1b3": lambda: _p1_action_terms(3),
     "p1b4": lambda: _p1_action_terms(4),
     "p1b5": lambda: _p1_action_terms(5),
     "cs-b3": _cs_terms,
-    "sq4-b5": _sq4_terms,
+    "sq4-b5": lambda: _cup_k_action_terms(5, 5, 1, delta=False),
     "particle-quad": _particle_quad_terms,
-    "particle-quad-even": _particle_quad_even_terms,
+    "particle-quad-even": lambda: (_particle_quad_terms()
+                                   + _cup_k_action_terms(2, 3, 1,
+                                                         delta=True)),
 }
 
 _TERM_CACHE: dict[str, tuple] = {}

@@ -23,7 +23,7 @@ from . import fileio, process, search
 from .actions import ActionFunctional, action_names, get_action
 from .intmat import smith_invariant_factors
 from .operad import d_terms, p1_terms, psi
-from .simplicial import Chain, Cochain, Phase, StandardComplex
+from .simplicial import Cochain, Phase, StandardComplex
 
 BAD_INPUT = 2
 
@@ -131,9 +131,6 @@ def cmd_verify_table(args) -> int:
 def cmd_eval(args) -> int:
     seed = _resolve_seed(args)
     action = _get_action(args.action, args.N)
-    if args.D is not None and args.D != action.spacetime:
-        raise InputError(f"action {action.name} lives in spacetime "
-                         f"dimension {action.spacetime}, not {args.D}")
     word = _load_word(args.process)
     initial = None
     if args.initial:
@@ -164,8 +161,7 @@ def cmd_eval(args) -> int:
 def cmd_trace(args) -> int:
     seed = _resolve_seed(args)
     word = _load_word(args.process)
-    degree = len(word[0][1]) - 2
-    initial = Chain(degree, {})
+    initial = None
     if args.initial:
         try:
             initial = fileio.load_chain(args.initial)
@@ -398,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="total phase of a word under an action")
     p.add_argument("--action", required=True)
     p.add_argument("--N", type=int, default=None)
-    p.add_argument("--D", type=int, default=None)
     p.add_argument("--process", default="mu56",
                    help="builtin name (mu56, tjunction) or file path")
     p.add_argument("--initial", help="JSON cochain file for the start state")

@@ -21,9 +21,16 @@ T = rho - 1 and N = 1 + rho + ... + rho^(r-1) for the cyclic letter
 rotation rho, and h = s + i*s*p + ... + i^(r-1)*s*p^(r-1) is the
 contraction built from the three elementary word maps.  Words that
 become degenerate at any step are dropped.
+
+Steenrod's cup-k product is phi of the alternating word (1,2,1,2,...)
+of length k+2 times the global sign (-1)**(k(p+q) + k(k-1)/2), and the
+reduced power P^1 at r = 3 is D^3 times (-1)**(q(q-1)/2 + 1), so
+``phi_terms`` is the one place that walks interval cuts and signs them.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 
 def check_surjection(u) -> tuple[int, ...]:
@@ -209,6 +216,29 @@ def phi_terms(u, degrees):
     return terms
 
 
+@lru_cache(maxsize=None)
+def cup_k_terms(p: int, q: int, k: int):
+    """All (sign, left_positions, right_positions) terms of cup-k.
+
+    Positions refer to indices 0..p+q-k within the target simplex, in
+    the order of ``phi_terms`` on the alternating word of length k+2.
+    With this sign, cup-0 is the front/back cup product and cup-1 is
+    the closed form sum_i (-1)**((p-i)(q+1)) c(<0..i, q+i..p+q-1>)
+    d(<i..q+i>):
+
+    >>> cup_k_terms(2, 2, 1)
+    ((1, (0, 2, 3), (0, 1, 2)), (-1, (0, 1, 3), (1, 2, 3)))
+    """
+    if p < 0 or q < 0:
+        raise ValueError("cochain degrees must be non-negative")
+    if k < 0 or k > min(p, q):
+        raise ValueError(f"cup-{k} undefined for degrees ({p}, {q})")
+    g = -1 if (k * (p + q) + k * (k - 1) // 2) % 2 else 1
+    word = tuple(t % 2 + 1 for t in range(k + 2))
+    return tuple((g * sign, left, right)
+                 for sign, (left, right) in phi_terms(word, (p, q)))
+
+
 def _check_prime(r):
     if r < 2 or any(r % j == 0 for j in range(2, r)):
         raise ValueError(f"{r} is not prime")
@@ -229,12 +259,17 @@ def d_terms(r: int, i: int, q: int):
     return out
 
 
+def p1_sign(q: int) -> int:
+    """Global sign (-1)**(q(q-1)/2 + 1) of P^1 = +-D^3_{2(q-2)} at r = 3."""
+    return -1 if (q * (q - 1) // 2 + 1) % 2 else 1
+
+
 def p1_terms(q: int):
     """Signed positional term list of P^1(B_q) at r = 3.
 
-    The global sign (-1)**(q(q-1)/2 + 1) is folded into every term.
+    The global sign ``p1_sign(q)`` is folded into every term.
     """
     if q < 2:
         raise ValueError("P^1 at r = 3 needs input degree >= 2")
-    g = -1 if (q * (q - 1) // 2 + 1) % 2 else 1
+    g = p1_sign(q)
     return [(g * coeff, slots) for coeff, slots in d_terms(3, 2 * (q - 2), q)]

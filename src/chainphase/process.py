@@ -68,26 +68,30 @@ def builtin(name: str):
 
 
 def check_steps(steps):
+    """Validate a non-empty word of (orientation, cell) steps whose
+    cells all have the same dimension, at least 1."""
     out = []
     for i, (sign, cell) in enumerate(steps):
         if sign not in (1, -1):
             raise ValueError(f"step orientation must be +1 or -1: {sign}")
         cell = check_simplex(cell)
+        if len(cell) < 2:
+            raise ValueError(f"step {i} moves the one-vertex cell {cell}; "
+                             f"a cell needs at least two vertices")
         if out and len(cell) != len(out[0][1]):
             raise ValueError(f"step {i} has dimension {len(cell) - 1}, but "
                              f"step 0 has dimension {len(out[0][1]) - 1}")
         out.append((sign, cell))
+    if not out:
+        raise ValueError("process word has no steps")
     return tuple(out)
 
 
 def step_cell_sum(steps) -> Chain:
     """Signed sum of the step cells as an integer chain."""
     steps = check_steps(steps)
-    degree = len(steps[0][1]) - 1
-    total = Chain(degree, {})
-    for sign, cell in steps:
-        total += Chain(degree, {cell: sign})
-    return total
+    return Chain(len(steps[0][1]) - 1,
+                 [(cell, sign) for sign, cell in steps])
 
 
 def is_closed(steps) -> bool:
@@ -120,26 +124,35 @@ def _shifting(move):
     return shift
 
 
-def _boundary_shift(degree: int, modulus: int):
-    """Chain-picture shift of a step: a +- the boundary of its cell."""
-    return _shifting(
-        lambda cell: Chain(degree, dict(simplex_faces(cell)), modulus))
+def _chain_walk(steps, initial: Chain | None):
+    """Validate a word and walk it in the chain picture, where a step
+    shifts the state by +- the boundary of its cell.
+
+    Returns (steps, initial, rows): the checked steps, the start state
+    (the empty chain one degree below the cells when `initial` is
+    None) and the ``walk`` rows from it.
+    """
+    steps = check_steps(steps)
+    cell = steps[0][1]
+    if initial is None:
+        initial = Chain(len(cell) - 2, {})
+    elif len(cell) - 2 != initial.degree:
+        raise ValueError(f"cell {cell} does not move "
+                         f"degree-{initial.degree} states")
+    degree, modulus = initial.degree, initial.modulus
+    return steps, initial, walk(steps, initial, _shifting(
+        lambda cell: Chain(degree, dict(simplex_faces(cell)), modulus)))
 
 
-def trace(steps, initial: Chain):
-    """Chain states visited by the word, starting from `initial`.
+def trace(steps, initial: Chain | None = None):
+    """Chain states visited by the word, starting from `initial`
+    (vacuum by default).
 
     Returns a list of length steps+1 over the integers (or whatever
     modulus `initial` carries); entry 0 is the initial state.
     """
-    steps = check_steps(steps)
-    for _, cell in steps:
-        if len(cell) - 1 != initial.degree + 1:
-            raise ValueError(f"cell {cell} does not move "
-                             f"degree-{initial.degree} states")
-    shift = _boundary_shift(initial.degree, initial.modulus)
-    return [initial] + [after for _, _, _, after
-                        in walk(steps, initial, shift)]
+    _, initial, rows = _chain_walk(steps, initial)
+    return [initial] + [after for _, _, _, after in rows]
 
 
 def dual_hop(cell, k: int) -> Cochain:
@@ -258,13 +271,9 @@ def check_cancellation(steps, modulus: int = 0,
     word cancels if, for every vertex v of every cell, the signed
     multiset of recorded configurations truncated to v sums to zero.
     """
-    steps = check_steps(steps)
-    degree = len(steps[0][1]) - 2
-    if initial is None:
-        initial = Chain(degree, {})
+    _, _, rows = _chain_walk(steps, initial)
     books: dict = {}
-    for sign, cell, acting, _ in walk(
-            steps, initial, _boundary_shift(degree, initial.modulus)):
+    for sign, cell, acting, _ in rows:
         for v in cell:
             books.setdefault((v, cell), Counter())[
                 _truncate(acting, v, modulus)] += sign
@@ -286,12 +295,9 @@ def pauli_triviality_check(steps, assignment, N: int,
     means).  For a closed word the total must vanish: contributions
     pair up through equal configurations regardless of the assignment.
     """
-    steps = check_steps(steps)
-    degree = len(steps[0][1]) - 2
-    a = initial if initial is not None else Chain(degree, {})
+    _, _, rows = _chain_walk(steps, initial)
     total = Phase(0, 1)
-    for sign, cell, acting, _ in walk(steps, a,
-                                      _boundary_shift(degree, a.modulus)):
+    for sign, cell, acting, _ in rows:
         total += sign * Phase(assignment[cell].evaluate(acting), N)
     return total
 
@@ -302,22 +308,16 @@ def golden_trace_diff(steps, golden_rows, initial: Chain | None = None):
     Returns a list of human-readable mismatch strings, empty when the
     trace reproduces the golden rows exactly.
     """
-    steps = check_steps(steps)
-    problems = []
+    steps, _, rows = _chain_walk(steps, initial)
     if len(steps) != len(golden_rows):
-        problems.append(f"step count {len(steps)} != golden "
-                        f"{len(golden_rows)}")
-        return problems
-    degree = len(steps[0][1]) - 2
-    if initial is None:
-        initial = Chain(degree, {})
-    states = trace(steps, initial)
-    for i, ((sign, cell), (gsign, gcell, gstate)) in enumerate(
-            zip(steps, golden_rows), start=1):
+        return [f"step count {len(steps)} != golden {len(golden_rows)}"]
+    problems = []
+    for i, ((sign, cell, _, state), (gsign, gcell, gstate)) in enumerate(
+            zip(rows, golden_rows), start=1):
         if (sign, cell) != (gsign, gcell):
             problems.append(f"step {i}: word has {sign:+d} {cell}, "
                             f"golden has {gsign:+d} {gcell}")
-        elif states[i] != gstate:
-            problems.append(f"step {i}: state {dict(states[i].items())} "
+        elif state != gstate:
+            problems.append(f"step {i}: state {dict(state.items())} "
                             f"!= golden {dict(gstate.items())}")
     return problems

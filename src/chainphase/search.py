@@ -110,10 +110,13 @@ def build_model(modulus: int, p: int, d: int) -> ExcitationModel:
     (6, 8)
     """
     if modulus == 0:
-        raise ValueError("integer fusion group is not enumerable; "
-                         "use the legality-lifting path")
+        raise ValueError("integer fusion group is not enumerable; run the "
+                         "legality-lifting scan on its Z_2 reduction "
+                         "instead (search --G Z2 --stretch-membrane)")
     if modulus < 2:
         raise ValueError("fusion modulus must be 0 or >= 2")
+    if p < 0:
+        raise ValueError(f"excitation dimension p must be >= 0, got {p}")
     if p + 1 > d:
         raise ValueError(f"excitation dimension {p} does not fit moving "
                          f"cells of dimension {p + 1} in dimension {d}")

@@ -1,12 +1,18 @@
 """Slow reference evaluators shared by the tests.
 
-They read every value through the validated ``Cochain.value`` and
-``on_boundary`` and build each prism afresh, so they share no code
-with the compiled term trees and hop geometry they check.
+The hop oracles read every value through the validated
+``Cochain.value`` and ``on_boundary`` and build each prism afresh, so
+they share no code with the compiled term trees and hop geometry they
+check.  The cup-k evaluators feed ``operad.cup_k_terms`` to whole
+cochains, the reference for the Leibniz rule; ``shuffle_cup_k_terms``
+derives the same term lists independently, by shuffle parity.
 """
 
+from itertools import combinations
+
+from chainphase.operad import cup_k_terms
 from chainphase.simplicial import (Cochain, Phase, StandardComplex,
-                                   cylinder_project)
+                                   check_simplex, cylinder_project)
 
 
 def positional_density(action, B, s):
@@ -45,3 +51,120 @@ def per_hop_cylinder_theta(action, B, h, s):
                 for cell, sign in cyl.top_cells)
     # The prism's orientation is (-1)^D times the cylinder's.
     return Phase(-total if action.spacetime % 2 else total, action.divisor)
+
+
+def _inversion_parity(seq) -> int:
+    inv = 0
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                inv += 1
+    return -1 if inv % 2 else 1
+
+
+def shuffle_cup_k_terms(p: int, q: int, k: int):
+    """The (sign, left, right) terms of cup-k by the verbal rule.
+
+    A term is a strictly increasing tuple of k+1 alternation points
+    j_1 < ... < j_{k+1} inside <0..p+q-k>; the closed segments [0,j_1],
+    [j_1,j_2], ..., [j_{k+1}, n] go alternately to the first and second
+    argument, adjacent segments sharing their endpoint, and only
+    decompositions giving them p+1 and q+1 vertices count.  The sign is
+    the parity of the shuffle taking "the first argument's intervals,
+    then the second's with the shared endpoints removed" to 0..n.
+    Terms come in lexicographic order of the alternation points.
+    """
+    n = p + q - k
+    terms = []
+    for pts in combinations(range(n + 1), k + 1):
+        cuts = (0,) + tuple(pts) + (n,)
+        left, right, shaved = [], [], []
+        for t in range(k + 2):
+            a, b = cuts[t], cuts[t + 1]
+            if t % 2 == 0:
+                left.extend(range(a, b + 1))
+            else:
+                right.extend(range(a, b + 1))
+                # Shared endpoints stay with the left intervals; the
+                # final segment keeps its free right end.
+                hi = b - 1 if t + 1 < k + 2 else b
+                shaved.extend(range(a + 1, hi + 1))
+        if (len(left), len(right)) == (p + 1, q + 1):
+            terms.append((_inversion_parity(left + shaved),
+                          tuple(left), tuple(right)))
+    return tuple(terms)
+
+
+def cup_k_value(c: Cochain, d: Cochain, k: int, s) -> int:
+    """Value of (c cup_k d) on the simplex s, as an integer lift."""
+    s = check_simplex(s)
+    p, q = c.degree, d.degree
+    if len(s) != p + q - k + 1:
+        raise ValueError(f"simplex {s} has wrong size for cup-{k} "
+                         f"of degrees ({p}, {q})")
+    return _cup_k_sum(c, d, cup_k_terms(p, q, k), s)
+
+
+def _cup_k_sum(c: Cochain, d: Cochain, terms, s) -> int:
+    # Position subsequences of a valid s are ascending simplices, so
+    # the factors are read without validating them again: the same
+    # unchecked dict.get as Cochain.values_on, one face at a time so
+    # that d is read only where c is nonzero.
+    at = s.__getitem__
+    cget, dget = c._data.get, d._data.get
+    total = 0
+    for sign, left, right in terms:
+        cv = cget(tuple(map(at, left)), 0)
+        if cv:
+            total += sign * cv * dget(tuple(map(at, right)), 0)
+    return total
+
+
+def cup_value(c: Cochain, d: Cochain, s) -> int:
+    """Front-face times back-face; the plain cup product on s."""
+    return cup_k_value(c, d, 0, s)
+
+
+def cup_k_cochain(c: Cochain, d: Cochain, k: int,
+                  complex: StandardComplex) -> Cochain:
+    """(c cup_k d) as a cochain on every admissible simplex of complex."""
+    if c.modulus != d.modulus:
+        raise ValueError("modulus mismatch")
+    degree = c.degree + d.degree - k
+    terms = cup_k_terms(c.degree, d.degree, k)
+    values = {}
+    # cup_k_terms rejects an undefined k, and the complex's simplices
+    # are valid and of the right size.
+    for s in complex.simplices(degree):
+        v = _cup_k_sum(c, d, terms, s)
+        if v:
+            values[s] = v
+    return Cochain._from_valid(degree, values, c.modulus)
+
+
+def cup_cochain(c: Cochain, d: Cochain, complex: StandardComplex) -> Cochain:
+    return cup_k_cochain(c, d, 0, complex)
+
+
+def leibniz_defect(c: Cochain, d: Cochain, i: int,
+                   complex: StandardComplex) -> Cochain:
+    """Defect of the coboundary recursion for cup-i; identically zero.
+
+    delta(c cup_i d) - delta c cup_i d - (-1)^p c cup_i delta d
+    - (-1)^(p+q-i) c cup_(i-1) d - (-1)^(pq+p+q) d cup_(i-1) c,
+    where cup_(-1) is the zero operation.
+    """
+    if i < 0:
+        raise ValueError("cup index must be non-negative")
+    p, q = c.degree, d.degree
+    dc = c.coboundary(complex)
+    dd = d.coboundary(complex)
+    out = cup_k_cochain(c, d, i, complex).coboundary(complex)
+    out = out - cup_k_cochain(dc, d, i, complex)
+    out = out - cup_k_cochain(c, dd, i, complex).scale(-1 if p % 2 else 1)
+    if i >= 1 and i - 1 <= min(p, q):
+        sign = -1 if (p + q - i) % 2 else 1
+        out = out - cup_k_cochain(c, d, i - 1, complex).scale(sign)
+        sign = -1 if (p * q + p + q) % 2 else 1
+        out = out - cup_k_cochain(d, c, i - 1, complex).scale(sign)
+    return out

@@ -115,9 +115,11 @@ class TestEval:
         assert code == 2 and "unknown action" in err
 
     def test_inconsistent_dimension(self, capsys):
-        code, _, err = run(capsys, "eval", "--action", "cube3", "--N", "2",
-                           "--D", "9")
-        assert code == 2 and "spacetime" in err
+        # An action fixes its spacetime dimension; eval takes no --D.
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--action", "cube3", "--N", "2", "--D", "9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --D 9" in capsys.readouterr().err
 
     def test_malformed_word_file(self, capsys, tmp_path):
         f = tmp_path / "word.txt"
@@ -213,6 +215,15 @@ class TestTrace:
         code, _, err = run(capsys, "trace", "--process", "tjunction",
                            "--initial", str(f))
         assert code == 2 and "does not move degree-2 states" in err
+
+
+@pytest.mark.parametrize("command", ["trace", "check-cancel"])
+def test_one_vertex_cell_is_bad_input(capsys, tmp_path, command):
+    f = tmp_path / "word.txt"
+    f.write_text("+ 0\n")
+    code, out, err = run(capsys, command, "--process", str(f))
+    assert code == 2 and not out
+    assert "step 0 moves the one-vertex cell (0,)" in err
 
 
 class TestCheckCancel:
@@ -336,6 +347,7 @@ class TestSearch:
     @pytest.mark.parametrize("extra,message", [
         (("--depth", "1"), "depth >= 2"),
         (("--stretch-membrane", "--attempts", "-3"), "attempts must be"),
+        (("--p", "-1"), "excitation dimension p must be >= 0, got -1"),
     ])
     def test_out_of_range_parameters_are_bad_input(self, capsys, extra,
                                                    message):
@@ -348,6 +360,14 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--G", "Z", "--p", "0",
                            "--d", "2")
         assert code == 2 and "legality" in err
+
+    def test_integer_group_stretch_names_the_z2_scan(self, capsys):
+        # The scan runs on the Z_2 model; the message names that command
+        # rather than the path the user already asked for.
+        code, _, err = run(capsys, "search", "--G", "Z", "--p", "0",
+                           "--d", "2", "--stretch-membrane")
+        assert code == 2 and "legality" in err
+        assert "--G Z2 --stretch-membrane" in err
 
     def test_stretch_scan_with_checkpoint(self, capsys, tmp_path):
         ck = tmp_path / "scan.json"

@@ -3,14 +3,15 @@ import random
 
 import pytest
 
+from chainphase.operad import cup_k_terms
 from chainphase.simplicial import Cochain, StandardComplex
-from chainphase.cups import (
+from oracles import (
     cup_cochain,
     cup_k_cochain,
-    cup_k_terms,
     cup_k_value,
     cup_value,
     leibniz_defect,
+    shuffle_cup_k_terms,
 )
 
 
@@ -109,6 +110,15 @@ class TestCupKTerms:
                 mine = sorted(cup_k_terms(p, q, 2))
                 oracle = sorted(cup2_terms_closed(p, q))
                 assert mine == oracle, (p, q)
+
+    def test_matches_shuffle_parity_oracle(self):
+        # cup-k is phi of the alternating word with a global sign; the
+        # shuffle-parity rule must give the same tuples in the same order.
+        for p in range(7):
+            for q in range(7):
+                for k in range(min(p, q) + 1):
+                    assert cup_k_terms(p, q, k) \
+                        == shuffle_cup_k_terms(p, q, k), (p, q, k)
 
     def test_terms_partition_vertices(self):
         for p, q, k in [(2, 2, 1), (3, 2, 2), (3, 3, 3), (4, 4, 2)]:

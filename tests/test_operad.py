@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from chainphase.cups import cup_k_value, cup_value
 from chainphase.fileio import load_psi3, load_term_file
 from chainphase.operad import (
     check_surjection,
@@ -13,6 +12,7 @@ from chainphase.operad import (
     psi,
 )
 from chainphase.simplicial import Cochain
+from oracles import cup_k_value, cup_value
 
 
 def rand_cochain(rng, deg, k, span=3):

@@ -50,6 +50,10 @@ class TestWords:
         with pytest.raises(ValueError, match="step 2 has dimension 2, but "
                                              "step 0 has dimension 1"):
             check_steps([(1, (0, 1)), (-1, (1, 2)), (1, (0, 1, 2))])
+        with pytest.raises(ValueError, match="step 1 moves the one-vertex"):
+            check_steps([(1, (0, 1)), (1, (2,))])
+        with pytest.raises(ValueError, match="no steps"):
+            check_steps([])
 
     def test_builtin_words_are_closed(self):
         assert is_closed(MU56)
@@ -104,6 +108,9 @@ class TestTrace:
         assert states[0] == states[-1] == Chain(2, {})
         states = trace(TJUNCTION, Chain(0, {}))
         assert states[0] == states[-1]
+
+    def test_default_start_is_vacuum(self):
+        assert trace(TJUNCTION) == trace(TJUNCTION, Chain(0, {}))
 
     def test_wrong_cell_degree(self):
         with pytest.raises(ValueError):
