@@ -28,6 +28,7 @@ of face values; ``density`` and every hop of ``boundary`` call it.
 
 from __future__ import annotations
 
+from functools import cache, partial
 from itertools import combinations, groupby
 
 from .fileio import load_term_file
@@ -48,11 +49,6 @@ def _cup_k_action_terms(p: int, q: int, k: int, delta: bool) -> tuple:
                  for sign, left, right in cup_k_terms(p, q, k))
 
 
-def _cube_terms() -> tuple:
-    """c cup c cup c for a 2-cochain: phi of the word 123."""
-    return _plain_terms(phi_terms((1, 2, 3), (2, 2, 2)))
-
-
 def _pontryagin9_terms() -> tuple:
     """Terms of the nine-dimensional quadratic refinement of the cube.
 
@@ -60,7 +56,7 @@ def _pontryagin9_terms() -> tuple:
     c cup (c cup_1 dc), with the inner cup-1 terms spliced into the
     front (vertices 0..4) or back (vertices 2..6) face of the 6-simplex.
     """
-    terms = list(_cube_terms())
+    terms = list(_terms("cube3"))
     cup1_delta = _cup_k_action_terms(2, 3, 1, delta=True)
     for sign, factors in cup1_delta:
         terms.append((sign, factors + ((False, (4, 5, 6)),)))
@@ -200,72 +196,50 @@ class ActionFunctional:
         return Phase(self.density(B, s), self.divisor)
 
 
-def _require(name, N, ok, why):
-    if not ok:
-        raise ValueError(f"action {name} needs {why}, got N={N}")
+_BY_3 = (lambda N: N % 3 == 0, "N divisible by 3")
+_EVEN = (lambda N: N % 2 == 0, "even N")
+_ODD = (lambda N: N % 2 == 1, "odd N")
+_ANY = (lambda N: N >= 2, "N >= 2")
 
-
-_SPECS = {
-    # name: (degree n, spacetime D, default N, divisor(N), check(N), why)
-    "cube3": (2, 6, 2, lambda N: N, lambda N: N >= 2, "N >= 2"),
-    "pontryagin9": (2, 6, 3, lambda N: 3 * N, lambda N: N % 3 == 0,
-                    "N divisible by 3"),
-    "p1b3": (3, 7, 3, lambda N: 3, lambda N: N % 3 == 0,
-             "N divisible by 3"),
-    "p1b4": (4, 8, 3, lambda N: 3, lambda N: N % 3 == 0,
-             "N divisible by 3"),
-    "p1b5": (5, 9, 3, lambda N: 3, lambda N: N % 3 == 0,
-             "N divisible by 3"),
-    "cs-b3": (3, 7, 2, lambda N: N * N, lambda N: N >= 2, "N >= 2"),
-    "sq4-b5": (5, 9, 2, lambda N: 2, lambda N: N % 2 == 0, "even N"),
-    "particle-quad": (2, 4, 3, lambda N: N, lambda N: N % 2 == 1,
-                      "odd N"),
-    "particle-quad-even": (2, 4, 2, lambda N: 2 * N, lambda N: N % 2 == 0,
-                           "even N"),
+_ACTIONS = {
+    # name: (degree n, spacetime D, default N, divisor(N),
+    #        (modulus rule(N), the rule in words), term list builder)
+    "cube3": (2, 6, 2, lambda N: N, _ANY,
+              lambda: _plain_terms(phi_terms((1, 2, 3), (2, 2, 2)))),
+    "pontryagin9": (2, 6, 3, lambda N: 3 * N, _BY_3, _pontryagin9_terms),
+    **{f"p1b{q}": (q, q + 4, 3, lambda N: 3, _BY_3,
+                   partial(_p1_action_terms, q)) for q in (3, 4, 5)},
+    "cs-b3": (3, 7, 2, lambda N: N * N, _ANY, lambda: (
+        (1, ((False, (0, 1, 2, 3)), (True, (3, 4, 5, 6, 7)))),)),
+    "sq4-b5": (5, 9, 2, lambda N: 2, _EVEN,
+               partial(_cup_k_action_terms, 5, 5, 1, delta=False)),
+    "particle-quad": (2, 4, 3, lambda N: N, _ODD,
+                      lambda: _plain_terms(phi_terms((1, 2), (2, 2)))),
+    "particle-quad-even": (2, 4, 2, lambda N: 2 * N, _EVEN, lambda: (
+        _terms("particle-quad") + _cup_k_action_terms(2, 3, 1, delta=True))),
 }
 
 
-def _cs_terms() -> tuple:
-    return ((1, ((False, (0, 1, 2, 3)), (True, (3, 4, 5, 6, 7)))),)
-
-
-def _particle_quad_terms() -> tuple:
-    """c cup c for a 2-cochain: phi of the word 12."""
-    return _plain_terms(phi_terms((1, 2), (2, 2)))
-
-
-_TERM_BUILDERS = {
-    "cube3": _cube_terms,
-    "pontryagin9": _pontryagin9_terms,
-    "p1b3": lambda: _p1_action_terms(3),
-    "p1b4": lambda: _p1_action_terms(4),
-    "p1b5": lambda: _p1_action_terms(5),
-    "cs-b3": _cs_terms,
-    "sq4-b5": lambda: _cup_k_action_terms(5, 5, 1, delta=False),
-    "particle-quad": _particle_quad_terms,
-    "particle-quad-even": lambda: (_particle_quad_terms()
-                                   + _cup_k_action_terms(2, 3, 1,
-                                                         delta=True)),
-}
-
-_TERM_CACHE: dict[str, tuple] = {}
+@cache
+def _terms(name: str) -> tuple:
+    """The term list of a registry action, built on first use."""
+    return _ACTIONS[name][-1]()
 
 
 def action_names() -> list[str]:
-    return sorted(_SPECS)
+    return sorted(_ACTIONS)
 
 
 def get_action(name: str, N: int | None = None) -> ActionFunctional:
     """Look up an action by name, binding the coefficient modulus N."""
-    if name not in _SPECS:
+    if name not in _ACTIONS:
         raise KeyError(f"unknown action {name!r}; "
                        f"known: {', '.join(action_names())}")
-    degree, spacetime, default_N, divisor, check, why = _SPECS[name]
+    degree, spacetime, default_N, divisor, (ok, why), _ = _ACTIONS[name]
     if N is None:
         N = default_N
-    _require(name, N, N > 0, "N > 0")
-    _require(name, N, check(N), why)
-    if name not in _TERM_CACHE:
-        _TERM_CACHE[name] = _TERM_BUILDERS[name]()
+    if N <= 0 or not ok(N):
+        raise ValueError(f"action {name} needs "
+                         f"{'N > 0' if N <= 0 else why}, got N={N}")
     return ActionFunctional(name, degree, spacetime, N, divisor(N),
-                            _TERM_CACHE[name])
+                            _terms(name))

@@ -20,7 +20,7 @@ import random
 import sys
 
 from . import fileio, process, search
-from .actions import ActionFunctional, action_names, get_action
+from .actions import ActionFunctional, get_action
 from .intmat import smith_invariant_factors
 from .operad import d_terms, p1_terms, psi
 from .simplicial import Cochain, Phase, StandardComplex
@@ -54,9 +54,9 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
             print(line)
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
+def _resolve_seed(flag: int | None) -> int:
+    if flag is not None:
+        return flag
     env = os.environ.get("CHAINPHASE_SEED")
     if env is not None:
         try:
@@ -80,20 +80,28 @@ def _load_word(name_or_path: str):
         raise InputError(f"malformed process file {name_or_path!r}: {exc}")
 
 
+def _load_initial(path, load):
+    """The start state in the file at `path` (None for no file)."""
+    if not path:
+        return None
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise InputError(f"bad initial state file: {exc}")
+
+
 def _get_action(name: str, N) -> ActionFunctional:
     try:
         return get_action(name, N)
-    except KeyError:
-        raise InputError(f"unknown action {name!r}; known: "
-                         f"{', '.join(action_names())}")
+    except KeyError as exc:
+        raise InputError(exc.args[0])
     except ValueError as exc:
         raise InputError(str(exc))
 
 
-def cmd_verify_table(args) -> int:
-    seed = _resolve_seed(args)
+def cmd_verify_table(args, seed: int) -> int:
     try:
-        rows = sorted(int(r) for r in args.rows.split(",")) \
+        rows = sorted({int(r) for r in args.rows.split(",")}) \
             if args.rows else sorted(TABLE_ROWS)
     except ValueError:
         rows = None
@@ -128,16 +136,10 @@ def cmd_verify_table(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def cmd_eval(args) -> int:
-    seed = _resolve_seed(args)
+def cmd_eval(args, seed: int) -> int:
     action = _get_action(args.action, args.N)
     word = _load_word(args.process)
-    initial = None
-    if args.initial:
-        try:
-            initial = fileio.load_cochain(args.initial)
-        except (OSError, ValueError, KeyError) as exc:
-            raise InputError(f"bad initial state file: {exc}")
+    initial = _load_initial(args.initial, fileio.load_cochain)
     try:
         phase = process.evaluate(word, action, initial=initial)
     except ValueError as exc:
@@ -158,15 +160,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    seed = _resolve_seed(args)
+def cmd_trace(args, seed: int) -> int:
     word = _load_word(args.process)
-    initial = None
-    if args.initial:
-        try:
-            initial = fileio.load_chain(args.initial)
-        except (OSError, ValueError, KeyError) as exc:
-            raise InputError(f"bad initial state file: {exc}")
+    initial = _load_initial(args.initial, fileio.load_chain)
     try:
         states = process.trace(word, initial)
     except ValueError as exc:
@@ -209,8 +205,7 @@ def _parse_modulus(text: str, noun: str) -> int:
     raise InputError(f"{noun} must be Z or Z<n>, got {text!r}")
 
 
-def cmd_check_cancel(args) -> int:
-    seed = _resolve_seed(args)
+def cmd_check_cancel(args, seed: int) -> int:
     word = _load_word(args.process)
     modulus = _parse_modulus(args.coeff, "coefficients")
     try:
@@ -233,8 +228,7 @@ def cmd_check_cancel(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_steenrod(args) -> int:
-    seed = _resolve_seed(args)
+def cmd_steenrod(args, seed: int) -> int:
     try:
         payload, lines = _steenrod_listing(args.what, args.n, args.q)
     except ValueError as exc:
@@ -261,8 +255,14 @@ def _steenrod_listing(what: str, n: int, q: int):
             [f"P^1 on degree-{q} cochains: {len(terms)} terms"])
 
 
-def cmd_search(args) -> int:
-    seed = _resolve_seed(args)
+def cmd_search(args, seed: int) -> int:
+    if args.stretch_membrane and args.emit_process:
+        raise InputError("--emit-process does not apply with "
+                         "--stretch-membrane")
+    for flag, value in (("--attempts", args.attempts),
+                        ("--checkpoint", args.checkpoint)):
+        if value is not None and not args.stretch_membrane:
+            raise InputError(f"{flag} applies only with --stretch-membrane")
     modulus = _parse_modulus(args.G, "fusion group")
     try:
         model = search.build_model(modulus, args.p, args.d)
@@ -271,8 +271,9 @@ def cmd_search(args) -> int:
     if args.stretch_membrane:
         try:
             result = search.legality_search(
-                model, attempts=args.attempts, checkpoint=args.checkpoint,
-                seed=seed, max_depth=args.depth)
+                model, checkpoint=args.checkpoint, seed=seed,
+                attempts=1 if args.attempts is None else args.attempts,
+                max_depth=args.depth)
         except ValueError as exc:
             raise InputError(str(exc))
         except OSError as exc:
@@ -327,8 +328,7 @@ def cmd_search(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    seed = _resolve_seed(args)
+def cmd_selftest(args, seed: int) -> int:
     rng = random.Random(seed)
     checks = []
 
@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="commutator nesting cutoff")
     p.add_argument("--stretch-membrane", action="store_true",
                    help="legality-lifting scan (batch scale, resumable)")
-    p.add_argument("--attempts", type=int, default=1,
+    p.add_argument("--attempts", type=int,
                    help="sign-function trials for the stretch scan")
     p.add_argument("--checkpoint", help="checkpoint file for the scan")
     p.add_argument("--emit-process", metavar="PATH",
@@ -451,7 +451,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _resolve_seed(args.seed))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

@@ -81,12 +81,6 @@ def load_chain(path) -> Chain:
         return chain_from_text(fh.read())
 
 
-def cochain_to_text(c: Cochain) -> str:
-    values = {",".join(map(str, t)): v for t, v in sorted(c.items())}
-    return json.dumps({"degree": c.degree, "modulus": c.modulus,
-                       "values": values}, indent=2)
-
-
 def process_from_text(text: str):
     """Parse a process word into a list of (sign, cell) steps."""
     steps = []

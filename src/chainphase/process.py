@@ -20,8 +20,7 @@ from itertools import combinations
 
 from .actions import ActionFunctional
 from .boundary import delta_on, modified_excitation_phase
-from .simplicial import (Chain, Cochain, Phase, check_simplex, dualize,
-                         simplex_faces)
+from .simplicial import Chain, Cochain, Phase, check_simplex, dualize
 
 #: The 56-step membrane word on the boundary of the 5-simplex.  Each
 #: entry is (orientation, tetrahedron); the first entry acts first.
@@ -139,9 +138,9 @@ def _chain_walk(steps, initial: Chain | None):
     elif len(cell) - 2 != initial.degree:
         raise ValueError(f"cell {cell} does not move "
                          f"degree-{initial.degree} states")
-    degree, modulus = initial.degree, initial.modulus
     return steps, initial, walk(steps, initial, _shifting(
-        lambda cell: Chain(degree, dict(simplex_faces(cell)), modulus)))
+        lambda cell: Chain(len(cell) - 1, {cell: 1},
+                           initial.modulus).boundary()))
 
 
 def trace(steps, initial: Chain | None = None):
@@ -153,12 +152,6 @@ def trace(steps, initial: Chain | None = None):
     """
     _, initial, rows = _chain_walk(steps, initial)
     return [initial] + [after for _, _, _, after in rows]
-
-
-def dual_hop(cell, k: int) -> Cochain:
-    """Dual cochain of one moved cell inside the k-simplex, over Z."""
-    cell = check_simplex(cell)
-    return dualize(Chain(len(cell) - 1, {cell: 1}), k)
 
 
 def evaluate(steps, action: ActionFunctional,
@@ -193,7 +186,7 @@ def evaluate(steps, action: ActionFunctional,
             raise ValueError(
                 f"cell {cell} dualizes to degree {k - len(cell)}, "
                 f"but {action.name} hops have degree {action.degree - 1}")
-        hops[cell] = dual_hop(cell, k)
+        hops[cell] = dualize(cell, k)
     # The state moves by the hop reduced mod N; the phase sees the
     # integer hop (a reduced -1 would read N - 1).
     N = initial.modulus
@@ -259,19 +252,18 @@ def _truncate(a: Chain, v: int, modulus: int):
     return tuple(sorted(items))
 
 
-def check_cancellation(steps, modulus: int = 0,
-                       initial: Chain | None = None) -> CancellationReport:
+def check_cancellation(steps, modulus: int = 0) -> CancellationReport:
     """Check that every phase contribution cancels locally.
 
-    Walk the word from `initial` (vacuum by default), recording for
-    each step the configuration at which the forward operator acts: a
-    step with orientation +1 acting at state a records (+1, cell, a);
+    Walk the word from the vacuum, recording for each step the
+    configuration at which the forward operator acts: a step with
+    orientation +1 acting at state a records (+1, cell, a);
     its inverse acting at a records (-1, cell, a - boundary(cell)),
     the state the forward operator would have been applied at.  The
     word cancels if, for every vertex v of every cell, the signed
     multiset of recorded configurations truncated to v sums to zero.
     """
-    _, _, rows = _chain_walk(steps, initial)
+    _, _, rows = _chain_walk(steps, None)
     books: dict = {}
     for sign, cell, acting, _ in rows:
         for v in cell:

@@ -122,8 +122,7 @@ def build_model(modulus: int, p: int, d: int) -> ExcitationModel:
                          f"cells of dimension {p + 1} in dimension {d}")
     verts = range(d + 2)
     generators = list(combinations(verts, p + 2))
-    moves = {s: Chain(p, dict(simplex_faces(s)), modulus)
-             for s in generators}
+    moves = {s: Chain(p + 1, {s: 1}, modulus).boundary() for s in generators}
     # Breadth-first closure of the subgroup generated by the moves,
     # recording each move both ways.
     steps = {(sign, s): {} for s in generators for sign in (1, -1)}
@@ -404,7 +403,7 @@ def lift_halved_expression(residual: SparseIntMatrix,
 
 # --- legality-constrained lifting (membrane stretch mode) ---------------
 
-def is_legal_term(s, a_key, f: dict, model: ExcitationModel) -> bool:
+def is_legal_term(s, a_key, f: dict) -> bool:
     """Legality of theta(s, a): the moved integer state stays within f.
 
     The lifted configuration (each mod-2 value c on t read as f(t) c)
@@ -424,7 +423,7 @@ def legality_partition(matrix: SparseIntMatrix, f: dict,
                        model: ExcitationModel) -> set:
     terms = model.terms
     return {col for col in matrix.columns()
-            if not is_legal_term(*terms[col], f, model)}
+            if not is_legal_term(*terms[col], f)}
 
 
 def random_sign_function(model: ExcitationModel, rng) -> dict:

@@ -347,37 +347,26 @@ class StandardComplex:
         return sorted({t for cell, _ in self.top_cells
                        for t in combinations(cell, degree + 1)})
 
-    def top_chain(self, modulus: int = 0) -> Chain:
-        return Chain(self.dimension, self.top_cells, modulus)
-
     def __repr__(self):
         return f"StandardComplex({self.kind!r}, k={self.k})"
 
 
-def dualize(a: Chain, k: int) -> Cochain:
-    """Dual cochain of a chain inside Delta_k.
+def dualize(cell, k: int) -> Cochain:
+    """Dual cochain of one cell of Delta_k, over Z.
 
-    Each p-simplex maps to the delta function on its complement vertex
-    set, weighted by the product of (-1)**v over its own vertices.
+    The cell maps to the delta function on its complement vertex set,
+    weighted by the product of (-1)**v over its own vertices.
 
-    >>> dualize(Chain(3, {(0, 1, 2, 3): 1}), 5)
+    >>> dualize((0, 1, 2, 3), 5)
     <Cochain deg=1 +1*45>
     """
-    full = set(range(k + 1))
-    out: dict[tuple[int, ...], int] = {}
-    degree = None
-    for t, c in a.items():
-        if not set(t) <= full:
-            raise ValueError(f"simplex {t} is not inside Delta_{k}")
-        comp = tuple(sorted(full - set(t)))
-        if not comp:
-            raise ValueError(f"simplex {t} has no complement in Delta_{k}")
-        sign = -1 if sum(t) % 2 else 1
-        out[comp] = out.get(comp, 0) + sign * c
-        degree = len(comp) - 1
-    if degree is None:
-        degree = k - 1 - a.degree
-    return Cochain(degree, out, a.modulus)
+    cell = check_simplex(cell)
+    if cell[-1] > k:
+        raise ValueError(f"simplex {cell} is not inside Delta_{k}")
+    comp = tuple(v for v in range(k + 1) if v not in cell)
+    if not comp:
+        raise ValueError(f"simplex {cell} has no complement in Delta_{k}")
+    return Cochain(len(comp) - 1, {comp: -1 if sum(cell) % 2 else 1})
 
 
 def cylinder_project(t: tuple[int, ...]):

@@ -52,6 +52,12 @@ class TestVerifyTable:
         assert code == 2
         assert f"got {rows!r}" in err
 
+    def test_repeated_row_is_reported_once(self, capsys):
+        code, doc, _ = run_json(capsys, "verify-table", "--rows", "1,1")
+        assert code == 0
+        assert [(r["row"], r["N"]) for r in doc["rows"]] == [
+            (1, 2), (1, 3), (1, 5)]
+
     def test_json_is_deterministic(self, capsys):
         _, out1, _ = run(capsys, "verify-table", "--rows", "1", "--json")
         _, out2, _ = run(capsys, "verify-table", "--rows", "1", "--json")
@@ -355,6 +361,26 @@ class TestSearch:
                              "--d", "2", *extra)
         assert code == 2
         assert message in err and not out
+
+    @pytest.mark.parametrize("extra,message", [
+        (("--attempts", "5"),
+         "--attempts applies only with --stretch-membrane"),
+        (("--checkpoint", "CK"),
+         "--checkpoint applies only with --stretch-membrane"),
+        (("--stretch-membrane", "--emit-process", "WORD"),
+         "--emit-process does not apply with --stretch-membrane"),
+    ], ids=["attempts", "checkpoint", "emit-process"])
+    def test_flag_outside_its_mode_is_bad_input(self, capsys, tmp_path,
+                                                extra, message):
+        # Outside its mode a flag would do nothing, so it is refused
+        # before any work and no file is written.
+        extra = [str(tmp_path / a) if a in ("CK", "WORD") else a
+                 for a in extra]
+        code, out, err = run(capsys, "search", "--G", "Z2", "--p", "0",
+                             "--d", "2", *extra, "--json")
+        assert code == 2 and not out
+        assert message in err
+        assert not list(tmp_path.iterdir())
 
     def test_integer_group_needs_stretch_mode(self, capsys):
         code, _, err = run(capsys, "search", "--G", "Z", "--p", "0",

@@ -12,7 +12,6 @@ from chainphase.process import (
     builtin,
     check_cancellation,
     check_steps,
-    dual_hop,
     evaluate,
     golden_trace_diff,
     is_closed,
@@ -22,7 +21,7 @@ from chainphase.process import (
     trace,
     walk,
 )
-from chainphase.simplicial import Chain, Cochain, Phase
+from chainphase.simplicial import Chain, Cochain, Phase, dualize
 from oracles import per_hop_cylinder_theta
 
 
@@ -137,13 +136,13 @@ class TestTrace:
 
 class TestDualHop:
     def test_sign_pins(self):
-        assert dict(dual_hop((0, 1, 4, 5), 5).items()) == {(2, 3): 1}
-        assert dict(dual_hop((0, 2), 3).items()) == {(1, 3): 1}
-        assert dict(dual_hop((1, 2), 3).items()) == {(0, 3): -1}
+        assert dict(dualize((0, 1, 4, 5), 5).items()) == {(2, 3): 1}
+        assert dict(dualize((0, 2), 3).items()) == {(1, 3): 1}
+        assert dict(dualize((1, 2), 3).items()) == {(0, 3): -1}
 
     def test_degree_is_complementary(self):
-        assert dual_hop((0, 1, 2), 5).degree == 2
-        assert dual_hop((0,), 3).degree == 2
+        assert dualize((0, 1, 2), 5).degree == 2
+        assert dualize((0,), 3).degree == 2
 
 
 class TestEvaluateMembraneWord:
@@ -207,7 +206,7 @@ def oracle_evaluate(steps, action, initial):
     prism oracle."""
     S = tuple(range(action.spacetime))
     N = initial.modulus
-    hops = {cell: dual_hop(cell, action.spacetime - 1) for _, cell in steps}
+    hops = {cell: dualize(cell, action.spacetime - 1) for _, cell in steps}
 
     def shift(a, sign, cell):
         h = hops[cell].with_modulus(N)

@@ -448,18 +448,17 @@ class TestLegality:
     def test_term_legality_semantics(self, particle):
         f = {(v,): 1 for v in range(4)}
         # Moving 01 from the vacuum drives vertex 0 to -1: illegal.
-        assert not is_legal_term((0, 1), VACUUM_KEY, f, particle)
+        assert not is_legal_term((0, 1), VACUUM_KEY, f)
         # From a particle already sitting at vertex 0 it is a clean hop.
         occupied = (((0,), 1),)
-        assert is_legal_term((0, 1), occupied, f, particle)
+        assert is_legal_term((0, 1), occupied, f)
         # Vertex-0 restriction knocks out cells away from the basepoint.
-        assert not is_legal_term((1, 2), occupied, f, particle)
+        assert not is_legal_term((1, 2), occupied, f)
         # Hopping 0 -> 2 via the 02 edge stays within f everywhere.
-        assert is_legal_term((0, 2), occupied, f, particle)
+        assert is_legal_term((0, 2), occupied, f)
         # With f(0) = -1 the particle at 0 lifts to -1, and the same
         # hop drives vertex 0 to -2.
-        assert not is_legal_term((0, 1), occupied, {**f, (0,): -1},
-                                 particle)
+        assert not is_legal_term((0, 1), occupied, {**f, (0,): -1})
 
     @pytest.mark.parametrize("shape", [(2, 0, 2), (2, 0, 3), (2, 1, 3)],
                              ids=shape_id)
@@ -472,7 +471,7 @@ class TestLegality:
             f = random_sign_function(model, rng)
             for col in columns:
                 s, a_key = model.terms[col]
-                assert is_legal_term(s, a_key, f, model) \
+                assert is_legal_term(s, a_key, f) \
                     == chain_is_legal_term(s, a_key, f, model)
 
     def test_sign_function_domain(self, particle):
