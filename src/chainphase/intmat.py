@@ -5,8 +5,11 @@ columns, and keys every table by the columns it is given.  Elimination
 repeatedly picks a +-1 entry, clears its column with that row, and
 drops both the row and the column; this splits off a trivial cyclic
 factor each time, so the invariant factors greater than one of the
-cokernel are preserved.  The dense Smith routine is the brute-force
-oracle used on small residuals and in randomized cross-checks.
+cokernel are preserved.  Each pivot lists its row's items once and
+clears every other row of its column with them in one loop.  The
+dense Smith routine is the brute-force oracle used on small residuals
+(callers may first drop repeated rows and negatives, which leave the
+row lattice alone) and in randomized cross-checks.
 
 Pivots follow the Markowitz rule (Markowitz 1957): a +-1 entry costs
 (length of its row - 1) * (nonzeros in its column - 1), a bound on the
@@ -99,42 +102,6 @@ class SparseIntMatrix:
             if not rids:
                 del col_rows[c]
 
-    def _add_multiple(self, rid: int, c: int, pivot_row: dict,
-                      pivot_val: int) -> None:
-        """Clear column ``c`` of row ``rid`` with the pivot row, whose
-        entry ``pivot_val`` in ``c`` is already taken off it."""
-        row = self._rows[rid]
-        before = len(row)
-        factor = -row.pop(c) * pivot_val  # pivot_val in {1, -1}
-        col_rows = self._col_rows
-        gained = []
-        # The pivot row stays in every one of its columns until it is
-        # removed, so none of them can disappear from _col_rows here.
-        for k, v in pivot_row.items():
-            old = row.get(k, 0)
-            new = old + factor * v
-            if new:
-                if not old:
-                    col_rows[k].add(rid)
-                row[k] = new
-                if (new == 1 or new == -1) and not (old == 1 or old == -1):
-                    gained.append(k)
-            else:
-                del row[k]
-                col_rows[k].discard(rid)
-        after = len(row)
-        if not after:
-            del self._rows[rid]
-            return
-        # A bound need only drop to this row's length where the row
-        # holds a unit and either shrank or newly holds it there.
-        low = self._low
-        if after < before:
-            gained = [k for k, v in row.items() if v == 1 or v == -1]
-        for k in gained:
-            if low[k] > after:
-                low[k] = after
-
     def _pick_pivot(self, allowed=None):
         """The unit entry of least Markowitz cost, as (row id, column).
 
@@ -186,8 +153,9 @@ class SparseIntMatrix:
         may then still contain unit entries elsewhere); columns the
         matrix never had are ignored.
         """
+        rows, col_rows = self._rows, self._col_rows
         # 0 bounds every length: each column is scanned when first met.
-        self._low = dict.fromkeys(self._col_rows, 0)
+        low = self._low = dict.fromkeys(col_rows, 0)
         log = []
         while True:
             pick = self._pick_pivot(allowed_cols)
@@ -195,11 +163,43 @@ class SparseIntMatrix:
                 self._low = {}
                 return log
             rid, c = pick
-            pivot_row = self._rows[rid]
+            pivot_row = rows[rid]
             pivot_val = pivot_row.pop(c)
-            for other in self._col_rows.pop(c):
-                if other != rid:
-                    self._add_multiple(other, c, pivot_row, pivot_val)
+            pivot_items = list(pivot_row.items())
+            for other in col_rows.pop(c):
+                if other == rid:
+                    continue
+                # Clear column c of this row with the pivot row.  The
+                # pivot row stays in every one of its columns until it
+                # is removed, so none of them can leave col_rows here.
+                row = rows[other]
+                before = len(row)
+                factor = -row.pop(c) * pivot_val  # pivot_val is +-1
+                gained = []
+                for k, v in pivot_items:
+                    old = row.get(k, 0)
+                    new = old + factor * v
+                    if new:
+                        if not old:
+                            col_rows[k].add(other)
+                        row[k] = new
+                        if (new == 1 or new == -1) \
+                                and not (old == 1 or old == -1):
+                            gained.append(k)
+                    else:
+                        del row[k]
+                        col_rows[k].discard(other)
+                after = len(row)
+                if not after:
+                    del rows[other]
+                    continue
+                # A bound need only drop to this row's length where the
+                # row holds a unit and either shrank or newly holds it.
+                if after < before:
+                    gained = [k for k, v in row.items() if v == 1 or v == -1]
+                for k in gained:
+                    if low[k] > after:
+                        low[k] = after
             self._remove_row(rid)
             # The recorded row maps the pivot column to survivors only.
             log.append((c, pivot_val, pivot_row))

@@ -226,32 +226,67 @@ def identity_words(model: ExcitationModel, max_depth: int = 3):
     return words
 
 
+def _translations(model: ExcitationModel) -> list[list[int]]:
+    """By configuration number a, the table b -> b + a on numbers.
+
+    The vacuum (number 0) gets the identity; any other a is first met
+    as a' + ds for a configuration a' met before it, and its table is
+    a''s followed by the forward step of s.
+    """
+    tables = [None] * len(model.configurations)
+    tables[0] = list(range(len(tables)))
+    met = [0]
+    for a in met:
+        for move in model._table[1]:
+            b = move[a]
+            if tables[b] is None:
+                tables[b] = [move[x] for x in tables[a]]
+                met.append(b)
+    return tables
+
+
+def _fingerprint(expr: dict) -> tuple:
+    """The expression's sorted (term, coefficient) pairs as one flat
+    tuple, negated if needed so that the first coefficient is
+    positive: equal for a row and its negative."""
+    items = sorted(expr.items())
+    if items[0][1] < 0:
+        items = [(k, -v) for k, v in items]
+    return tuple(chain.from_iterable(items))
+
+
 def gen_identities(model: ExcitationModel, max_depth: int = 3) -> list[dict]:
     """Identity expressions: commutator words expanded at every state.
 
     Every realization maps these to zero; they are the rows of the
     relation matrix whose cokernel torsion classifies processes.  Rows
-    are keyed by term number (see ``ExcitationModel.terms``).  Empty
+    are keyed by term number (see ``ExcitationModel.terms``), word by
+    word and, within a word, by configuration number.  Empty
     expansions are dropped, and so is any row equal to an earlier one
-    up to sign (a row and its negative span the same lattice), found
-    by its sorted (term, coefficient) pairs as one flat tuple.
+    up to sign (a row and its negative span the same lattice).
+
+    A step moves a configuration by a fixed boundary, so a word's
+    expansion at a is its expansion at the vacuum translated by a,
+    term by term and in the same order.  Each word is walked once, and
+    a word whose vacuum row repeats an earlier row is skipped whole:
+    its translates repeat that row's translates.
     """
+    size = len(model.configurations)
+    tables = _translations(model)
     out = []
     seen = set()
     for word in identity_words(model, max_depth):
-        word = _numbered_word(word, model)
-        for a in range(len(model.configurations)):
-            expr = _expand_numbered(word, a, model)
-            if not expr:
-                continue
-            items = sorted(expr.items())
-            if items[0][1] < 0:
-                items = [(k, -v) for k, v in items]
-            fingerprint = tuple(chain.from_iterable(items))
-            if fingerprint in seen:
-                continue
-            seen.add(fingerprint)
-            out.append(expr)
+        expr = _expand_numbered(_numbered_word(word, model), 0, model)
+        if not expr or _fingerprint(expr) in seen:
+            continue
+        # (s's first term number, vacuum configuration, coefficient)
+        terms = [(k - k % size, k % size, v) for k, v in expr.items()]
+        for table in tables:
+            row = {g + table[b]: v for g, b, v in terms}
+            fingerprint = _fingerprint(row)
+            if fingerprint not in seen:
+                seen.add(fingerprint)
+                out.append(row)
     return out
 
 
@@ -263,7 +298,12 @@ def identity_matrix(model: ExcitationModel,
 def torsion(residual: SparseIntMatrix) -> list[int]:
     """Invariant factors > 1 of the expression group modulo identities."""
     dense, _ = residual.to_dense()
-    return [f for f in smith_invariant_factors(dense) if f > 1]
+    # Repeats and negatives of a row leave the row lattice alone, so
+    # the dense Smith sees each row once up to sign.
+    distinct = dict.fromkeys(
+        tuple(row) if next(filter(None, row)) > 0 else tuple(-v for v in row)
+        for row in dense)
+    return [f for f in smith_invariant_factors(list(distinct)) if f > 1]
 
 
 def classify(model: ExcitationModel, max_depth: int = 3):
@@ -458,9 +498,13 @@ def legality_search(model: ExcitationModel, attempts: int,
     raises ValueError naming the field, while a checkpoint without the
     key resumes unchecked.  A checkpoint that cannot be read back raises
     ValueError, and so does a negative ``attempts``; one that cannot be
-    written raises OSError before the identity matrix is built.
+    written raises OSError before the identity matrix is built.  A
+    checkpoint that already holds ``attempts`` trials returns its
+    result without building the matrix.
 
-    A sign function fixes the illegal columns, so one call runs the
+    Every trial starts from one base: the identity matrix with the
+    columns illegal under every sign function eliminated.  A sign
+    function fixes the illegal columns, so one call runs the
     trial of each distinct sign vector once: a table of outcomes
     (success and residual shape, never the residual itself) answers
     every repeat.  The table is not saved; a resumed run rebuilds it
@@ -492,11 +536,17 @@ def legality_search(model: ExcitationModel, attempts: int,
         if mismatch:
             raise ValueError(f"checkpoint {str(path)!r} belongs to another "
                              f"scan: {'; '.join(mismatch)}")
+    if done >= attempts:
+        return {"attempts": done, "successes": successes}
     tmp = path.with_name(path.name + ".tmp") if path else None
-    if tmp and done < attempts:
+    if tmp:
         tmp.touch()
         tmp.unlink()
     base = identity_matrix(model, max_depth)
+    # is_legal_term rejects a cell without vertex 0 under every f, so
+    # its columns are eliminated once here, not again in each trial.
+    terms = model.terms
+    base.eliminate({col for col in base.columns() if 0 not in terms[col][0]})
     # Sign vector (in combinations order) -> (success, residual shape):
     # f fixes the illegal columns, so a repeated f repeats its trial.
     outcomes: dict[tuple, tuple] = {}

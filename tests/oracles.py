@@ -6,11 +6,16 @@ they share no code with the compiled term trees and hop geometry they
 check.  The cup-k evaluators feed ``operad.cup_k_terms`` to whole
 cochains, the reference for the Leibniz rule; ``shuffle_cup_k_terms``
 derives the same term lists independently, by shuffle parity.
+``per_configuration_identities`` expands every identity word at every
+configuration, the reference for the translated rows of
+``gen_identities``.
 """
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from chainphase.operad import cup_k_terms
+from chainphase.search import (_expand_numbered, _numbered_word,
+                               identity_words)
 from chainphase.simplicial import (Cochain, Phase, StandardComplex,
                                    check_simplex, cylinder_project)
 
@@ -167,4 +172,27 @@ def leibniz_defect(c: Cochain, d: Cochain, i: int,
         out = out - cup_k_cochain(c, d, i - 1, complex).scale(sign)
         sign = -1 if (p * q + p + q) % 2 else 1
         out = out - cup_k_cochain(d, c, i - 1, complex).scale(sign)
+    return out
+
+
+def per_configuration_identities(model, max_depth=3):
+    """The identity rows with each word walked afresh at every
+    configuration, deduplicated up to sign on sorted (term,
+    coefficient) fingerprints."""
+    out = []
+    seen = set()
+    for word in identity_words(model, max_depth):
+        word = _numbered_word(word, model)
+        for a in range(len(model.configurations)):
+            expr = _expand_numbered(word, a, model)
+            if not expr:
+                continue
+            items = sorted(expr.items())
+            if items[0][1] < 0:
+                items = [(k, -v) for k, v in items]
+            fingerprint = tuple(chain.from_iterable(items))
+            if fingerprint in seen:
+                continue
+            seen.add(fingerprint)
+            out.append(expr)
     return out

@@ -8,7 +8,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from chainphase.intmat import SparseIntMatrix, smith_invariant_factors
-from chainphase.search import (build_model, gen_identities,
+from chainphase.search import (build_model, classify, gen_identities,
                                identity_matrix, legality_attempt,
                                legality_partition, torsion)
 
@@ -372,7 +372,8 @@ class TestCokernelTorsion:
 
     def test_negated_copies_keep_torsion(self):
         # A row and its negative span the same lattice, so appending
-        # negated copies of some rows leaves the cokernel alone.
+        # negated and repeated copies of some rows leaves the cokernel
+        # alone, and so does Smith-reducing each row once up to sign.
         rng = random.Random(47)
         for _ in range(40):
             n, m = rng.randint(1, 6), rng.randint(1, 6)
@@ -383,6 +384,21 @@ class TestCokernelTorsion:
             want = [v for v in sympy_factors(rows) if v > 1]
             assert cokernel_torsion(from_dense(doubled)) == want, doubled
             assert [v for v in sympy_factors(doubled) if v > 1] == want
+            doubled += [row for row in doubled if rng.random() < 0.5]
+            rng.shuffle(doubled)
+            assert torsion(from_dense(doubled)) == want, doubled
+            assert [v for v in smith_invariant_factors(doubled)
+                    if v > 1] == want
+
+    @pytest.mark.parametrize("shape", [(2, 0, 2), (3, 0, 2), (2, 0, 3),
+                                       (2, 1, 3)],
+                             ids=lambda s: "Z{}-p{}-d{}".format(*s))
+    def test_pinned_residuals_match_the_full_smith(self, shape):
+        # The residual's distinct rows give the torsion of all its rows.
+        _, residual, _ = classify(build_model(*shape), 3)
+        dense, _ = residual.to_dense()
+        assert torsion(residual) \
+            == [v for v in smith_invariant_factors(dense) if v > 1]
 
     def test_free_cokernel(self):
         assert cokernel_torsion(from_dense([[2, 4]])) == [2]

@@ -29,6 +29,7 @@ from chainphase.search import (
 )
 from chainphase import search
 from chainphase.simplicial import Chain, Phase, simplex_faces
+from oracles import per_configuration_identities
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +269,29 @@ class TestIdentityWords:
         assert len(list(key_expansions(particle, 3))) == 312
         assert len(gen_identities(particle, 3)) == 168
 
+    @pytest.mark.parametrize("shape,depth", [
+        *((shape, 3) for shape in PINNED_SHAPES),
+        ((3, 0, 2), 4), ((2, 1, 3), 4)],
+        ids=lambda v: shape_id(v) if isinstance(v, tuple) else f"depth{v}")
+    def test_translated_rows_match_every_expansion(self, shape, depth):
+        # Same rows, same order, same item order as walking each word
+        # at every configuration.
+        model = build_model(*shape)
+        got = gen_identities(model, depth)
+        want = per_configuration_identities(model, depth)
+        assert [list(row.items()) for row in got] \
+            == [list(row.items()) for row in want]
+
+    @pytest.mark.parametrize("shape", MODEL_SHAPES, ids=shape_id)
+    def test_translation_tables_are_chain_addition(self, shape):
+        model = build_model(*shape)
+        tables = search._translations(model)
+        number = {key: i for i, key in enumerate(model.configurations)}
+        for a, table in zip(model.configurations, tables):
+            for b, moved in zip(model.configurations, table):
+                assert moved == number[state_key(state(model, a)
+                                                 + state(model, b))]
+
     @pytest.mark.parametrize("shape", PINNED_SHAPES, ids=shape_id)
     def test_rows_match_expansion_on_keys(self, shape):
         # The same rows, in the same order, each in the same dict order,
@@ -416,11 +440,20 @@ def chain_is_legal_term(s, a_key, f, model):
     return all(v == f[t] for t, v in moved.items())
 
 
-def oracle_legality_search(model, attempts, seed, max_depth=3):
-    """Oracle: the scan with one legality_attempt per trial and no
-    outcome table; returns (result, final checkpoint document without
-    its ``scan`` key)."""
+def scan_base(model, max_depth=3):
+    """The identity matrix with every column whose cell lacks vertex 0
+    (illegal under any sign function) eliminated."""
     base = identity_matrix(model, max_depth)
+    base.eliminate({col for col in base.columns()
+                    if 0 not in model.terms[col][0]})
+    return base
+
+
+def oracle_legality_search(model, attempts, seed, max_depth=3):
+    """Oracle: the scan with one legality_attempt per trial, each on
+    ``scan_base``, and no outcome table; returns (result, final
+    checkpoint document without its ``scan`` key)."""
+    base = scan_base(model, max_depth)
     rng = random.Random(seed)
     successes = []
     for trial in range(1, attempts + 1):
@@ -492,15 +525,40 @@ class TestLegality:
         ((2, 0, 3), "1" * 32),
     ], ids=["Z2-p0-d2", "Z2-p0-d3"])
     def test_which_trials_succeed(self, shape, outcomes):
-        # Every sign vector, in product order over the vertices.
+        # Every sign vector, in product order over the vertices, from
+        # the whole identity matrix and from the scan's base.
         model = build_model(*shape)
-        base = identity_matrix(model, 3)
         vertices = [(v,) for v in range(model.d + 2)]
-        got = "".join(
-            "1" if legality_attempt(base, dict(zip(vertices, signs)),
-                                    model)[0] else "0"
-            for signs in itertools.product((1, -1), repeat=len(vertices)))
-        assert got == outcomes
+        for base in (identity_matrix(model, 3), scan_base(model)):
+            got = "".join(
+                "1" if legality_attempt(base, dict(zip(vertices, signs)),
+                                        model)[0] else "0"
+                for signs in itertools.product((1, -1),
+                                               repeat=len(vertices)))
+            assert got == outcomes
+
+    def test_scan_base_keeps_loop_model_outcomes(self):
+        model = build_model(2, 1, 3)
+        full, reduced = identity_matrix(model, 3), scan_base(model)
+        rng = random.Random(19)
+        for _ in range(16):
+            f = random_sign_function(model, rng)
+            assert legality_attempt(reduced, f, model)[0] \
+                == legality_attempt(full, f, model)[0]
+
+    def test_finished_scan_resumes_without_the_matrix(
+            self, particle, tmp_path, monkeypatch):
+        ck = tmp_path / "scan.json"
+        want = legality_search(particle, attempts=6, checkpoint=ck, seed=2)
+        before = ck.read_bytes()
+
+        def unreachable(*args):
+            raise AssertionError("identity matrix built")
+
+        monkeypatch.setattr(search, "identity_matrix", unreachable)
+        assert legality_search(particle, 6, checkpoint=ck, seed=2) == want
+        assert legality_search(particle, 4, checkpoint=ck, seed=2) == want
+        assert ck.read_bytes() == before
 
     def test_unwritable_checkpoint_fails_before_the_matrix(
             self, particle, tmp_path, monkeypatch):
