@@ -304,8 +304,11 @@ def cmd_search(args, seed: int) -> int:
         f"model: {model!r}",
         f"invariant factors: {factors or '[]'}",
     ]
-    word = None
-    if factors and args.emit_process:
+    if args.emit_process and not factors:
+        # A torsion-free model has no residual row to lift.
+        lines.append("no torsion: no process written")
+        payload["process_steps"] = None
+    elif args.emit_process:
         word = search.lift_halved_expression(residual, model)
         if word:
             text = "".join(

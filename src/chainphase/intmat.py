@@ -205,8 +205,8 @@ class SparseIntMatrix:
             log.append((c, pivot_val, pivot_row))
 
     def to_dense(self):
-        """(matrix as list of lists, ordered columns)."""
-        order = sorted(self._col_rows, key=repr)
+        """(matrix as list of lists, its columns in first-seen order)."""
+        order = list(self._col_rows)
         position = {c: i for i, c in enumerate(order)}
         dense = []
         for rid in sorted(self._rows):

@@ -9,6 +9,9 @@ over (generator, configuration) pairs; nested commutators of
 generators with empty common vertex support expand to expressions that
 every realization maps to zero, and the torsion of E modulo those
 identities classifies the nontrivial statistical processes.
+Configurations are numbered by their base-N digits on the p-cells that
+miss vertex 0 (see ``build_model``), so steps, translations and the
+bridges of ``reconstruct_process`` are digit arithmetic, not searches.
 
 The membrane-scale run (d=4 with sign-function legality lifting) is a
 resumable batch job, far beyond test budgets; see ``legality_search``.
@@ -30,51 +33,46 @@ from .simplicial import Chain, Phase, simplex_faces
 VACUUM_KEY = ()
 
 
-def _state_key(state: Chain) -> tuple:
-    return tuple(sorted(state.items()))
-
-
 class ExcitationModel:
     """Finite configuration space of closed p-excitations on del Delta_{d+1}.
 
     Attributes: ``modulus`` (fusion group Z_N), ``p``, ``d``,
     ``generators`` (the (p+1)-simplices, ascending), ``configurations``
-    (every p-boundary, as canonical state keys), ``terms`` (term
-    number -> (generator, configuration key)).  Generators and
-    configurations are numbered by their positions, and every move of
-    every configuration is recorded once, in both directions, as a
-    table of those numbers; ``step`` and the expansion of words read it
-    back.  The term theta(s, a) is numbered s's number * |A| + a's
-    number, and identity rows and matrix columns are keyed by it.
+    (every p-boundary, as canonical state keys, by number), ``terms``
+    (term number -> (generator, configuration key)).  A configuration
+    is fixed by its values on the p-cells that miss vertex 0, and
+    configuration n is the one whose values there are n's base-N
+    digits, the i-th such cell in ``combinations`` order holding place
+    N^i; the vacuum is number 0.  The model is built from ``table``,
+    where ``table[sign][g][n]`` is the number a step (sign +-1,
+    generator number g) leaves at configuration n; ``step`` and the
+    expansion of words read it.  The term theta(s, a)
+    is numbered s's number * |A| + a's number, and identity rows and
+    matrix columns are keyed by it.
 
     >>> m = build_model(2, 0, 2)
+    >>> m.configurations[5]  # digits 1, 0, 1 on the vertices 1, 2, 3
+    (((1,), 1), ((3,), 1))
     >>> list(gen_identities(m)[0].items())[:2]
-    [(1, -1), (42, -1)]
-    >>> m.terms[42] == (m.generators[5], m.configurations[2])
+    [(1, -1), (47, -1)]
+    >>> m.terms[47] == (m.generators[5], m.configurations[7])
     True
-    >>> m.terms[42]
+    >>> m.terms[47]
     ((2, 3), (((0,), 1), ((1,), 1), ((2,), 1), ((3,), 1)))
     """
 
     __slots__ = ("modulus", "p", "d", "generators", "configurations",
                  "terms", "_number", "_gen_number", "_table")
 
-    def __init__(self, modulus, p, d, generators, configurations, steps):
+    def __init__(self, modulus, p, d, generators, configurations, table):
         self.modulus = modulus
         self.p = p
         self.d = d
         self.generators = generators
         self.configurations = configurations
-        number = self._number = {key: i
-                                 for i, key in enumerate(configurations)}
+        self._number = {key: i for i, key in enumerate(configurations)}
         self._gen_number = {s: g for g, s in enumerate(generators)}
-        # sign -> generator number -> [configuration number after the
-        # step, by configuration number], from ``steps``: (sign,
-        # generator) -> {configuration key: key after the step}
-        self._table = {
-            sign: [[number[steps[sign, s][key]] for key in configurations]
-                   for s in generators]
-            for sign in (1, -1)}
+        self._table = table
         self.terms = tuple((s, a) for s in generators
                            for a in configurations)
 
@@ -86,7 +84,7 @@ class ExcitationModel:
         >>> m = build_model(2, 0, 2)
         >>> a, s = m.configurations[3], m.generators[0]
         >>> m.step(a, 1, s)
-        (((1,), 1), ((2,), 1))
+        (((0,), 1), ((2,), 1))
         >>> m.step(m.step(a, 1, s), -1, s) == a
         True
         """
@@ -102,8 +100,27 @@ class ExcitationModel:
                 f"|A|={len(self.configurations)})")
 
 
+def _adder(a: int, modulus: int, size: int) -> list[int]:
+    """The table n -> n + a on configuration numbers below ``size``:
+    base-N digits added place by place, mod N, with no carry."""
+    table, place = [0], 1
+    while place < size:
+        digit = a // place % modulus
+        shifts = [(v + digit) % modulus * place for v in range(modulus)]
+        table = [x + shift for shift in shifts for x in table]
+        place *= modulus
+    return table
+
+
 def build_model(modulus: int, p: int, d: int) -> ExcitationModel:
-    """Enumerate the excitation model for fusion group Z_N.
+    """Number the excitation model for fusion group Z_N.
+
+    The boundaries of the cells 0t, for the p-cells t that miss vertex
+    0, span the configurations, and a configuration is fixed by its
+    values on those t (see ``ExcitationModel``).  Configuration n is
+    configuration n - N^i plus the boundary of 0t, for n's highest
+    nonzero digit i and its cell t; a step by s adds each face of s
+    that misses vertex 0, with its boundary sign, to that face's digit.
 
     >>> m = build_model(2, 0, 2)
     >>> len(m.generators), len(m.configurations)
@@ -120,28 +137,25 @@ def build_model(modulus: int, p: int, d: int) -> ExcitationModel:
     if p + 1 > d:
         raise ValueError(f"excitation dimension {p} does not fit moving "
                          f"cells of dimension {p + 1} in dimension {d}")
-    verts = range(d + 2)
-    generators = list(combinations(verts, p + 2))
-    moves = {s: Chain(p + 1, {s: 1}, modulus).boundary() for s in generators}
-    # Breadth-first closure of the subgroup generated by the moves,
-    # recording each move both ways.
-    steps = {(sign, s): {} for s in generators for sign in (1, -1)}
-    seen = {VACUUM_KEY}
-    frontier = [(VACUUM_KEY, Chain(p, {}, modulus))]
-    while frontier:
-        nxt = []
-        for key, state in frontier:
-            for s, move in moves.items():
-                new = state + move
-                new_key = _state_key(new)
-                if new_key not in seen:
-                    seen.add(new_key)
-                    nxt.append((new_key, new))
-                steps[1, s][key] = new_key
-                steps[-1, s][new_key] = key
-        frontier = nxt
-    return ExcitationModel(modulus, p, d, generators, tuple(sorted(seen)),
-                           steps)
+    generators = list(combinations(range(d + 2), p + 2))
+    place = {}
+    states = [Chain(p, {}, modulus)]
+    for t in combinations(range(1, d + 2), p + 1):
+        # states holds the N^i configurations whose digits from i up
+        # are 0, so t's place is N^i.
+        place[t] = len(states)
+        cone = Chain(p + 1, {(0,) + t: 1}, modulus).boundary()
+        for n in range(place[t], modulus * place[t]):
+            states.append(states[n - place[t]] + cone)
+    size = len(states)
+    table = {sign: [_adder(sum(sign * c % modulus * place[t]
+                               for t, c in simplex_faces(s) if t in place),
+                           modulus, size)
+                    for s in generators]
+             for sign in (1, -1)}
+    return ExcitationModel(
+        modulus, p, d, generators,
+        tuple(tuple(sorted(state.items())) for state in states), table)
 
 
 def _expand_numbered(word, a: int, model: ExcitationModel) -> dict:
@@ -226,25 +240,6 @@ def identity_words(model: ExcitationModel, max_depth: int = 3):
     return words
 
 
-def _translations(model: ExcitationModel) -> list[list[int]]:
-    """By configuration number a, the table b -> b + a on numbers.
-
-    The vacuum (number 0) gets the identity; any other a is first met
-    as a' + ds for a configuration a' met before it, and its table is
-    a''s followed by the forward step of s.
-    """
-    tables = [None] * len(model.configurations)
-    tables[0] = list(range(len(tables)))
-    met = [0]
-    for a in met:
-        for move in model._table[1]:
-            b = move[a]
-            if tables[b] is None:
-                tables[b] = [move[x] for x in tables[a]]
-                met.append(b)
-    return tables
-
-
 def _fingerprint(expr: dict) -> tuple:
     """The expression's sorted (term, coefficient) pairs as one flat
     tuple, negated if needed so that the first coefficient is
@@ -272,7 +267,7 @@ def gen_identities(model: ExcitationModel, max_depth: int = 3) -> list[dict]:
     its translates repeat that row's translates.
     """
     size = len(model.configurations)
-    tables = _translations(model)
+    tables = [_adder(a, model.modulus, size) for a in range(size)]
     out = []
     seen = set()
     for word in identity_words(model, max_depth):
@@ -390,22 +385,10 @@ def reconstruct_process(expr: dict, model: ExcitationModel):
         return list(reversed(path))
 
     def bridge_to(target_key):
-        """Generator steps walking vacuum -> target through move space."""
-        seen = {VACUUM_KEY: ()}
-        frontier = [VACUUM_KEY]
-        while frontier:
-            nxt = []
-            for key in frontier:
-                for s in model.generators:
-                    for sign in (1, -1):
-                        nk = model.step(key, sign, s)
-                        if nk not in seen:
-                            seen[nk] = seen[key] + ((sign, s),)
-                            if nk == target_key:
-                                return seen[nk]
-                            nxt.append(nk)
-            frontier = nxt
-        raise ReconstructError(f"no path from vacuum to {target_key}")
+        """Generator steps walking vacuum -> target: c forward steps of
+        0t for each value c on a cell t that misses vertex 0."""
+        return tuple((1, (0,) + t) for t, c in target_key if 0 not in t
+                     for _ in range(c))
 
     word = list(circuit_from(VACUUM_KEY))
     while any(edges.values()):

@@ -8,7 +8,9 @@ cochains, the reference for the Leibniz rule; ``shuffle_cup_k_terms``
 derives the same term lists independently, by shuffle parity.
 ``per_configuration_identities`` expands every identity word at every
 configuration, the reference for the translated rows of
-``gen_identities``.
+``gen_identities``.  ``breadth_first_model`` finds the configurations
+and their moves by closure under Chain addition, the reference for the
+digit numbering of ``build_model``.
 """
 
 from itertools import chain, combinations
@@ -16,7 +18,7 @@ from itertools import chain, combinations
 from chainphase.operad import cup_k_terms
 from chainphase.search import (_expand_numbered, _numbered_word,
                                identity_words)
-from chainphase.simplicial import (Cochain, Phase, StandardComplex,
+from chainphase.simplicial import (Chain, Cochain, Phase, StandardComplex,
                                    check_simplex, cylinder_project)
 
 
@@ -196,3 +198,28 @@ def per_configuration_identities(model, max_depth=3):
             seen.add(fingerprint)
             out.append(expr)
     return out
+
+
+def breadth_first_model(modulus, p, d):
+    """The configurations of the (N, p, d) model by breadth-first
+    closure of the vacuum under every move, and each move of each
+    configuration recorded both ways: (sorted configuration keys,
+    {(sign, generator): {key: key after the step}})."""
+    generators = list(combinations(range(d + 2), p + 2))
+    moves = {s: Chain(p + 1, {s: 1}, modulus).boundary() for s in generators}
+    steps = {(sign, s): {} for s in generators for sign in (1, -1)}
+    seen = {()}
+    frontier = [((), Chain(p, {}, modulus))]
+    while frontier:
+        nxt = []
+        for key, state in frontier:
+            for s, move in moves.items():
+                new = state + move
+                new_key = tuple(sorted(new.items()))
+                if new_key not in seen:
+                    seen.add(new_key)
+                    nxt.append((new_key, new))
+                steps[1, s][key] = new_key
+                steps[-1, s][new_key] = key
+        frontier = nxt
+    return tuple(sorted(seen)), steps

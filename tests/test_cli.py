@@ -305,7 +305,7 @@ class TestSearch:
         out = tmp_path / "word.txt"
         code, doc, _ = run_json(capsys, "search", "--G", "Z2", "--p", "0",
                                 "--d", "2", "--emit-process", str(out))
-        assert code == 0 and doc["process_steps"] == 14
+        assert code == 0 and doc["process_steps"] == 18
         code, doc, _ = run_json(capsys, "eval", "--action",
                                 "particle-quad-even", "--N", "2",
                                 "--process", str(out))
@@ -313,14 +313,14 @@ class TestSearch:
         assert doc["phase"] == {"num": 1, "den": 2}
 
     @pytest.mark.parametrize("model,factors,shape,steps,digest", [
-        ((2, 0, 2), [4], [72, 6], 14, "d6f46d4e3ef4d0fb2217f13cc1a8c3a1"
-         "6c7bddb09c49954322f0451a3c481597"),
-        ((3, 0, 2), [3], [443, 6], 20, "c04e0f41034f7366a9ee60beee020a69"
-         "111e53fdc21a4259acf73ff652c35246"),
-        ((2, 0, 3), [2], [572, 10], 14, "a16e9a3d7775d5395a0d34a5c5700988"
-         "47471bda6230ebe40cd11bf3939a0132"),
-        ((2, 1, 3), [2], [177, 41], 60, "f957d09fb41b921d2bed81c7451e604b"
-         "980a01bf60ab760cf1b39c4f1eb774d4"),
+        ((2, 0, 2), [4], [72, 6], 18, "0113c80ef36a3d233ec5723e3050b70c"
+         "972cd05c0ef14ff55d0f3c80d926866d"),
+        ((3, 0, 2), [3], [260, 6], 30, "448d26b536166d52a23c71131b7e603a"
+         "6b05887ca1740208d13c18f078ab62be"),
+        ((2, 0, 3), [2], [400, 6], 16, "9c24315c72589d8e7cc890884586e40b"
+         "41fad703a73743e3218a5fab56293677"),
+        ((2, 1, 3), [2], [221, 28], 42, "69053d7b28eb2a2ba0032d413a7d635a"
+         "2f0b7334426f8ea0b735275757a36a1b"),
     ], ids=["Z2-p0-d2", "Z3-p0-d2", "Z2-p0-d3", "Z2-p1-d3"])
     def test_classification_is_pinned(self, capsys, tmp_path, model,
                                       factors, shape, steps, digest):
@@ -442,6 +442,22 @@ class TestSearch:
         assert err.startswith("error: ") and str(out_path) in err
         assert "Traceback" not in err
 
+    def test_emit_process_without_torsion(self, capsys, tmp_path):
+        # A torsion-free model has no row to lift: the run says so and
+        # writes no file.  (Z3 particles in d=3 are torsion-free at
+        # depths 2 and 3; depth 2 is the fast one.)
+        out = tmp_path / "word.txt"
+        argv = ("search", "--G", "Z3", "--p", "0", "--d", "3",
+                "--depth", "2", "--emit-process", str(out))
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["invariant_factors"] == []
+        assert doc["process_steps"] is None
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        assert "no torsion: no process written" in text
+        assert not out.exists()
+
     def test_emit_process_bytes(self, capsys, tmp_path):
         # The Z2 particle model's halved residual row, as a word.
         out = tmp_path / "word.txt"
@@ -449,8 +465,9 @@ class TestSearch:
                          "--d", "2", "--emit-process", str(out))
         assert code == 0
         assert out.read_text() == (
-            "+ 1 2\n- 2 3\n- 1 3\n+ 1 2\n- 2 3\n- 1 3\n+ 0 3\n"
-            "+ 2 3\n+ 1 3\n- 1 2\n+ 2 3\n+ 1 3\n- 1 2\n- 0 3\n")
+            "+ 0 1\n- 1 3\n+ 2 3\n+ 1 2\n- 1 3\n+ 2 3\n+ 1 2\n"
+            "- 0 1\n+ 0 2\n+ 0 3\n+ 1 3\n- 2 3\n- 1 2\n+ 1 3\n"
+            "- 2 3\n- 1 2\n- 0 3\n- 0 2\n")
 
     def test_stretch_checkpoint_bytes(self, capsys, tmp_path):
         ck = tmp_path / "scan.json"

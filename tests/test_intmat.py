@@ -180,6 +180,10 @@ class TestSparseIntMatrix:
         assert sorted(map(sorted, dense)) == [[1, 2], [3, 4]]
         assert len(cols) == 2
 
+    def test_dense_columns_in_first_seen_order(self):
+        m = SparseIntMatrix([{10: 1, 2: 3}, {2: 4, 7: 5}])
+        assert m.to_dense() == ([[1, 3, 0], [0, 4, 5]], [10, 2, 7])
+
     def test_eliminate_keeps_rank(self):
         # Pivoting must not change the rational row space dimension:
         # rank(original) = rank(residual) + pivots used.

@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from chainphase.intmat import SparseIntMatrix
+from chainphase.intmat import SparseIntMatrix, smith_invariant_factors
 from chainphase.process import TJUNCTION, walk
 from chainphase.search import (
     VACUUM_KEY,
@@ -29,7 +29,7 @@ from chainphase.search import (
 )
 from chainphase import search
 from chainphase.simplicial import Chain, Phase, simplex_faces
-from oracles import per_configuration_identities
+from oracles import breadth_first_model, per_configuration_identities
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,9 @@ MODEL_SHAPES = [(2, 0, 2), (3, 0, 2), (2, 1, 3)]
 #: The four models whose classification is pinned: MODEL_SHAPES and
 #: the Z2 particle model in d=3.
 PINNED_SHAPES = MODEL_SHAPES[:2] + [(2, 0, 3), (2, 1, 3)]
+
+#: The pinned models, the Z3 loop model and the Z2 membrane model in d=4.
+NUMBERED_SHAPES = PINNED_SHAPES + [(3, 1, 3), (2, 2, 4)]
 
 
 def shape_id(shape):
@@ -186,6 +189,32 @@ class TestBuildModel:
                 assert model.terms[g * size + i] == (s, a)
         assert len(model.terms) == len(model.generators) * size
 
+    @pytest.mark.parametrize("shape", NUMBERED_SHAPES, ids=shape_id)
+    def test_matches_breadth_first_closure(self, shape):
+        # The same configurations, the vacuum numbered 0, and the same
+        # key -> key step for every generator and sign.
+        model = build_model(*shape)
+        keys, steps = breadth_first_model(*shape)
+        assert sorted(model.configurations) == list(keys)
+        assert model.configurations[0] == VACUUM_KEY
+        for (sign, s), moves in steps.items():
+            assert len(moves) == len(keys)
+            for key, moved in moves.items():
+                assert model.step(key, sign, s) == moved
+
+    @pytest.mark.parametrize("shape", NUMBERED_SHAPES, ids=shape_id)
+    def test_configurations_are_numbered_by_digits(self, shape):
+        # Configuration n holds n's base-N digits on the cells that
+        # miss vertex 0, the i-th cell in combinations order at N^i.
+        N, p, d = shape
+        model = build_model(*shape)
+        cells = list(itertools.combinations(range(1, d + 2), p + 1))
+        assert len(model.configurations) == N ** len(cells)
+        for n, key in enumerate(model.configurations):
+            values = dict(key)
+            assert [values.get(t, 0) for t in cells] \
+                == [n // N ** i % N for i in range(len(cells))]
+
     def test_integer_group_rejected(self):
         with pytest.raises(ValueError):
             build_model(0, 0, 2)
@@ -285,9 +314,10 @@ class TestIdentityWords:
     @pytest.mark.parametrize("shape", MODEL_SHAPES, ids=shape_id)
     def test_translation_tables_are_chain_addition(self, shape):
         model = build_model(*shape)
-        tables = search._translations(model)
+        size = len(model.configurations)
         number = {key: i for i, key in enumerate(model.configurations)}
-        for a, table in zip(model.configurations, tables):
+        for i, a in enumerate(model.configurations):
+            table = search._adder(i, model.modulus, size)
             for b, moved in zip(model.configurations, table):
                 assert moved == number[state_key(state(model, a)
                                                  + state(model, b))]
@@ -355,6 +385,25 @@ class TestClassify:
         assert torsion(every) == factors
         assert classify(model, 3)[0] == factors
 
+    @pytest.mark.parametrize("modulus,free,factors", [
+        (2, 21, [4]), (3, 48, [3]), (4, 93, [8])])
+    def test_tjunction_generates_the_particle_torsion(self, modulus, free,
+                                                      factors):
+        # One more row, the T-junction's vacuum expansion, kills the
+        # torsion and leaves the free rank |S||A| - rank alone.  The
+        # rank is the pivots plus the residual's Smith factors.
+        model = build_model(modulus, 0, 2)
+        number = {term: i for i, term in enumerate(model.terms)}
+        tjunction = {number[k]: v for k, v in
+                     expand_theta(TJUNCTION, VACUUM_KEY, model).items()}
+        rows = gen_identities(model, 3)
+        for extra, want in (([], factors), ([tjunction], [])):
+            matrix = SparseIntMatrix(rows + extra)
+            pivots = len(matrix.eliminate())
+            smith = smith_invariant_factors(matrix.to_dense()[0])
+            assert len(model.terms) - pivots - len(smith) == free
+            assert [f for f in smith if f > 1] == want
+
     @pytest.mark.parametrize("shape", PINNED_SHAPES, ids=shape_id)
     def test_copy_classifies_as_the_original(self, shape, monkeypatch):
         model = build_model(*shape)
@@ -386,16 +435,16 @@ class TestReconstruct:
 
     def test_far_component_needs_bridge(self, particle):
         # A loop based at a nonvacuum configuration forces stitching
-        # through a bridge whose contributions cancel.
-        base = particle.configurations[-1]
-        assert base != VACUUM_KEY
+        # through a bridge whose contributions cancel; every such base
+        # is tried.
         s = particle.generators[0]
         # Mod 2 a double hop is a loop with two distinct terms.
         word = ((1, s), (1, s))
-        expr = expand_theta(word, base, particle)
-        assert len(expr) == 2
-        got = reconstruct_process(expr, particle)
-        assert expand_theta(got, VACUUM_KEY, particle) == expr
+        for base in particle.configurations[1:]:
+            expr = expand_theta(word, base, particle)
+            assert len(expr) == 2
+            got = reconstruct_process(expr, particle)
+            assert expand_theta(got, VACUUM_KEY, particle) == expr
 
     def test_random_words_roundtrip(self, particle3):
         # Random loops: walk anywhere, then BFS a path home so the
