@@ -256,9 +256,11 @@ def _steenrod_listing(what: str, n: int, q: int):
 
 
 def cmd_search(args, seed: int) -> int:
-    if args.stretch_membrane and args.emit_process:
-        raise InputError("--emit-process does not apply with "
-                         "--stretch-membrane")
+    for flag, value in (("--emit-process", args.emit_process),
+                        ("--stats", args.stats)):
+        if value and args.stretch_membrane:
+            raise InputError(f"{flag} does not apply with "
+                             f"--stretch-membrane")
     for flag, value in (("--attempts", args.attempts),
                         ("--checkpoint", args.checkpoint)):
         if value is not None and not args.stretch_membrane:
@@ -288,22 +290,40 @@ def cmd_search(args, seed: int) -> int:
             f"successes: {len(result['successes'])}",
         ])
         return 0
+    stats = {}
     try:
-        factors, residual, log = search.classify(model, args.depth)
+        factors, residual, log = search.classify(model, args.depth, stats)
     except ValueError as exc:
         raise InputError(str(exc))
+    free_rank = len(model.terms) - stats["rank"]
     payload = {
         "seed": seed, "G": args.G, "p": args.p, "d": args.d,
         "generators": len(model.generators),
         "configurations": len(model.configurations),
         "invariant_factors": factors,
+        "free_rank": free_rank,
         "residual_shape": list(residual.shape),
     }
     lines = [
         f"seed: {seed}",
         f"model: {model!r}",
         f"invariant factors: {factors or '[]'}",
+        f"free rank: {free_rank}",
     ]
+    if args.stats:
+        rows, cols = stats["residual_shape"]
+        for line in (
+                f"words walked: {stats['words']}",
+                f"words skipped: {stats['skipped']}",
+                f"translates reduced: {stats['translates']}",
+                f"translates to zero: {stats['vanished']}",
+                f"pivots: {stats['pivots']}",
+                f"residual shape: {rows} x {cols}",
+                f"most nonzeros held: {stats['peak_nnz']}",
+                f"walk: {stats['walk_s']:.3f} s",
+                f"reduce: {stats['reduce_s']:.3f} s",
+                f"smith: {stats['smith_s']:.3f} s"):
+            print(f"stats: {line}", file=sys.stderr)
     if args.emit_process and not factors:
         # A torsion-free model has no residual row to lift.
         lines.append("no torsion: no process written")
@@ -442,6 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="checkpoint file for the scan")
     p.add_argument("--emit-process", metavar="PATH",
                    help="write a reconstructed process word here")
+    p.add_argument("--stats", action="store_true",
+                   help="write the classification's counts and stage "
+                   "timings to stderr")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_search)
 

@@ -31,6 +31,13 @@ A pivot drops its own column once, since every row loses its entry
 there.  Per-column sets of unit rows would spare the scan, but on the
 identity matrices nearly every entry is a unit, so they would double
 the column index in memory.
+
+``UnitReducer`` is the streaming counterpart: rows arrive one at a
+time and are reduced against fully reduced unit pivot rows, so a row
+already in the span is found, and dropped, when it arrives.  It splits
+off the same trivial factors and gives the same torsion and rank as
+``SparseIntMatrix.eliminate``, whose pivot order it does not follow.
+It trades memory for that: fully reduced pivot rows fill in.
 """
 
 from __future__ import annotations
@@ -219,6 +226,159 @@ class SparseIntMatrix:
     def __repr__(self):
         r, c = self.shape
         return f"<SparseIntMatrix {r}x{c}>"
+
+
+class UnitReducer:
+    """Streaming unit-pivot reduction of a growing row lattice.
+
+    Two kinds of row are stored.  A pivot row holds +-1 in its own
+    column and no other row's pivot column, so each pivot column
+    appears in its own row alone.  A residual row holds no +-1 entry
+    and no pivot column.  ``add`` first reduces a row by substituting
+    the pivot row of each pivot column it holds.  The reduced row then
+    vanishes, joins the residual, or becomes a pivot row on the +-1
+    entry whose column the fewest stored rows hold.  Ties go to the
+    last such entry in the row's order: on the identity rows of the
+    Z2 membrane model (N, p, d) = (2, 2, 4) at depth 3, the first
+    instead took 7975 pivots, not 7984, and left a residual whose
+    dense Smith took over two minutes, not one second.  A new pivot
+    row is substituted into every stored row holding its column.  A
+    residual row that gains a +-1 that way leaves the residual and is
+    added again, reduced afresh against every pivot taken meanwhile.
+
+    Each step adds an integer multiple of one row to another or drops
+    a zero row, so the stored rows span the lattice of the rows added.
+    The cokernel's torsion is the residual's, and the lattice's rank is
+    the pivots plus the residual's rank.  Keeping pivot rows fully
+    reduced costs fill-in: the stored rows can hold far more nonzeros
+    than the log of a batch ``SparseIntMatrix.eliminate`` of the same
+    rows.  ``nnz`` counts the nonzeros held and ``peak_nnz`` the most
+    held after any ``add``.
+
+    >>> r = UnitReducer()
+    >>> r.add({"x": 1, "y": 2}), r.add({"x": 3, "y": 2})
+    (True, True)
+    >>> r.add({"x": 2, "y": 4})  # twice the first row
+    False
+    >>> r.finish()
+    ([('x', 1, {'y': 2})], [{'y': -4}])
+    """
+
+    __slots__ = ("_rows", "_pivot", "_residual", "_held", "_seen",
+                 "_next_id", "nnz", "peak_nnz")
+
+    def __init__(self):
+        # Row id -> {column: value}; pivot column -> its row's id;
+        # residual row ids (a dict, for its order).
+        self._rows: dict[int, dict] = {}
+        self._pivot: dict[Hashable, int] = {}
+        self._residual: dict[int, None] = {}
+        # By column that is no pivot: how many stored rows hold it, and
+        # the ids of every row that came to hold it, a list only ever
+        # appended to (so it may name rows that have let it go since).
+        # Sets in their place raised the peak RSS of the membrane model
+        # (2, 2, 4) at depth 3 by about a third.
+        self._held: dict[Hashable, int] = {}
+        self._seen: dict[Hashable, list[int]] = {}
+        self._next_id = 1
+        self.nnz = 0
+        self.peak_nnz = 0
+
+    def reduce(self, row: dict) -> dict:
+        """Substitute pivot rows into ``row``, in place, until it holds
+        no pivot column; returns ``row``."""
+        pivot, rows, get = self._pivot, self._rows, row.get
+        # A pivot row holds no other pivot column, so one pass will do.
+        for c in [c for c in row if c in pivot]:
+            pivot_row = rows[pivot[c]]
+            factor = -row[c] * pivot_row[c]  # pivot_row[c] is +-1
+            for k, v in pivot_row.items():
+                new = get(k, 0) + factor * v
+                if new:
+                    row[k] = new
+                else:
+                    del row[k]
+        return row
+
+    def add(self, row: dict) -> bool:
+        """Reduce ``row`` (in place) and store what is left; False when
+        it reduced to zero."""
+        if not self.reduce(row):
+            return False
+        pending = [row]
+        while pending:
+            # A row re-queued by a back-substitution may hold pivot
+            # columns taken since it left the residual.
+            row = self.reduce(pending.pop())
+            if row:
+                self._place(row, pending)
+        self.peak_nnz = max(self.peak_nnz, self.nnz)
+        return True
+
+    def _place(self, row: dict, pending: list) -> None:
+        rows, held, seen = self._rows, self._held, self._seen
+        residual = self._residual
+        rid = self._next_id
+        self._next_id += 1
+        rows[rid] = row
+        self.nnz += len(row)
+        for k in row:
+            held[k] = held.get(k, 0) + 1
+            seen.setdefault(k, []).append(rid)
+        units = [c for c, v in row.items() if v == 1 or v == -1]
+        if not units:
+            residual[rid] = None
+            return
+        c = min(reversed(units), key=held.__getitem__)
+        # No row will hold c again but this one: every other stored row
+        # loses it below, and rows are reduced before they are stored.
+        del held[c]
+        holders = dict.fromkeys(r for r in seen.pop(c)
+                                if r != rid and c in rows.get(r, ()))
+        self._pivot[c] = rid
+        sign = row[c]
+        items = [(k, v) for k, v in row.items() if k != c]
+        for other_id in holders:
+            other = rows[other_id]
+            get = other.get
+            before = len(other)
+            factor = -other.pop(c) * sign
+            for k, v in items:
+                old = get(k, 0)
+                new = old + factor * v
+                if new:
+                    other[k] = new
+                    if not old:
+                        held[k] += 1
+                        seen[k].append(other_id)
+                else:
+                    del other[k]
+                    held[k] -= 1
+            self.nnz += len(other) - before
+            if other_id in residual and (
+                    not other or any(v == 1 or v == -1
+                                     for v in other.values())):
+                del rows[other_id], residual[other_id]
+                self.nnz -= len(other)
+                for k in other:
+                    held[k] -= 1
+                if other:
+                    pending.append(other)
+
+    def finish(self) -> tuple[list, list[dict]]:
+        """(log, residual rows), and the reducer is emptied.
+
+        Each log entry is (column, pivot sign, pivot row without its
+        column), in the order the pivots were taken; the residual rows
+        come in the order they were stored.  The entries reuse the
+        stored rows, so nothing is copied.
+        """
+        rows = self._rows
+        log = [(c, rows[rid].pop(c), rows[rid])
+               for c, rid in self._pivot.items()]
+        residual = [rows[rid] for rid in self._residual]
+        self.__init__()
+        return log, residual
 
 
 def smith_invariant_factors(matrix) -> list[int]:

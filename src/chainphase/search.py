@@ -12,6 +12,9 @@ identities classifies the nontrivial statistical processes.
 Configurations are numbered by their base-N digits on the p-cells that
 miss vertex 0 (see ``build_model``), so steps, translations and the
 bridges of ``reconstruct_process`` are digit arithmetic, not searches.
+``classify`` streams each identity word's translation orbit through an
+incremental unit-pivot reducer and builds no identity matrix; the
+legality scan eliminates the whole ``identity_matrix`` in batch.
 
 The membrane-scale run (d=4 with sign-function legality lifting) is a
 resumable batch job, far beyond test budgets; see ``legality_search``.
@@ -22,11 +25,13 @@ from __future__ import annotations
 import json
 import os
 import random
+import time
 from collections import Counter
+from functools import partial
 from itertools import chain, combinations
 from pathlib import Path
 
-from .intmat import SparseIntMatrix, smith_invariant_factors
+from .intmat import SparseIntMatrix, UnitReducer, smith_invariant_factors
 from .process import walk
 from .simplicial import Chain, Phase, simplex_faces
 
@@ -250,34 +255,51 @@ def _fingerprint(expr: dict) -> tuple:
     return tuple(chain.from_iterable(items))
 
 
+def _translate(terms, tables, a: int) -> dict:
+    """A word's row at configuration a, from its vacuum row as ``terms``:
+    (s's first term number, configuration number, coefficient)."""
+    table = tables[a]
+    return {g + table[b]: v for g, b, v in terms}
+
+
+def _orbits(model: ExcitationModel, max_depth: int):
+    """Each identity word's translation orbit, word by word: its row at
+    the vacuum and a function a -> its row at configuration a.  Words
+    with an empty expansion are left out.
+
+    A step moves a configuration by a fixed boundary, so a word's
+    expansion at a is its expansion at the vacuum translated by a,
+    term by term and in the same order: each word is walked once, and
+    its other rows are only translated when asked for.
+    """
+    size = len(model.configurations)
+    tables = [_adder(a, model.modulus, size) for a in range(size)]
+    for word in identity_words(model, max_depth):
+        expr = _expand_numbered(_numbered_word(word, model), 0, model)
+        if expr:
+            terms = [(k - k % size, k % size, v) for k, v in expr.items()]
+            yield expr, partial(_translate, terms, tables)
+
+
 def gen_identities(model: ExcitationModel, max_depth: int = 3) -> list[dict]:
     """Identity expressions: commutator words expanded at every state.
 
     Every realization maps these to zero; they are the rows of the
     relation matrix whose cokernel torsion classifies processes.  Rows
     are keyed by term number (see ``ExcitationModel.terms``), word by
-    word and, within a word, by configuration number.  Empty
-    expansions are dropped, and so is any row equal to an earlier one
-    up to sign (a row and its negative span the same lattice).
-
-    A step moves a configuration by a fixed boundary, so a word's
-    expansion at a is its expansion at the vacuum translated by a,
-    term by term and in the same order.  Each word is walked once, and
-    a word whose vacuum row repeats an earlier row is skipped whole:
-    its translates repeat that row's translates.
+    word and, within a word, by configuration number (see ``_orbits``).
+    Empty expansions are dropped, and so is any row equal to an earlier
+    one up to sign (a row and its negative span the same lattice).  A
+    word whose vacuum row repeats an earlier row is skipped whole: its
+    translates repeat that row's translates.
     """
     size = len(model.configurations)
-    tables = [_adder(a, model.modulus, size) for a in range(size)]
     out = []
     seen = set()
-    for word in identity_words(model, max_depth):
-        expr = _expand_numbered(_numbered_word(word, model), 0, model)
-        if not expr or _fingerprint(expr) in seen:
+    for expr, translate in _orbits(model, max_depth):
+        if _fingerprint(expr) in seen:
             continue
-        # (s's first term number, vacuum configuration, coefficient)
-        terms = [(k - k % size, k % size, v) for k, v in expr.items()]
-        for table in tables:
-            row = {g + table[b]: v for g, b, v in terms}
+        for row in chain((expr,), map(translate, range(1, size))):
             fingerprint = _fingerprint(row)
             if fingerprint not in seen:
                 seen.add(fingerprint)
@@ -290,22 +312,88 @@ def identity_matrix(model: ExcitationModel,
     return SparseIntMatrix(gen_identities(model, max_depth))
 
 
-def torsion(residual: SparseIntMatrix) -> list[int]:
-    """Invariant factors > 1 of the expression group modulo identities."""
+def invariant_factors(residual: SparseIntMatrix) -> list[int]:
+    """Every nonzero invariant factor of the residual's rows: those > 1
+    are the torsion of the expression group modulo the identities, and
+    their count is the residual's rank."""
     dense, _ = residual.to_dense()
     # Repeats and negatives of a row leave the row lattice alone, so
     # the dense Smith sees each row once up to sign.
     distinct = dict.fromkeys(
         tuple(row) if next(filter(None, row)) > 0 else tuple(-v for v in row)
         for row in dense)
-    return [f for f in smith_invariant_factors(list(distinct)) if f > 1]
+    return smith_invariant_factors(list(distinct))
 
 
-def classify(model: ExcitationModel, max_depth: int = 3):
-    """(torsion factors, residual, elimination log) for the model."""
-    residual = identity_matrix(model, max_depth)
-    log = residual.eliminate()
-    return torsion(residual), residual, log
+def classify(model: ExcitationModel, max_depth: int = 3,
+             stats: dict | None = None):
+    """(torsion factors, residual, elimination log) for the model.
+
+    Each identity word's translation orbit streams through one
+    ``UnitReducer``; no identity matrix is built.  A word's rows go in
+    by configuration number, and a run of them is skipped when its
+    first row reduces to zero.  When a word starts, each earlier
+    word's whole orbit lies in the span, so the span is closed under
+    every translation.  Configurations below N^i form a subgroup H,
+    whose cosets are the runs of N^i numbers from a multiple of N^i.
+    Once the word's rows below such a start a lie in the span, it is
+    closed under H as well; if the row at a lies in it too, so does
+    the whole coset a + H, which is skipped.  At a = 0, H is the whole
+    group: a word whose vacuum row reduces to zero is skipped whole.
+
+    The residual is a ``SparseIntMatrix`` of the reducer's residual
+    rows, and each log entry is (column, pivot sign, the fully reduced
+    pivot row without its column).
+
+    A ``stats`` dict is filled with what the run did: the counts
+    ``words`` walked, ``skipped`` (whole), ``translates`` reduced,
+    ``vanished`` (translates that reduced to zero), ``pivots``,
+    ``residual_shape``, ``peak_nnz`` (the most nonzeros the reducer
+    held), ``rank`` (pivots plus the residual's Smith rank), and the
+    seconds ``walk_s`` (word expansion and translation), ``reduce_s``
+    and ``smith_s``.
+    """
+    clock = time.perf_counter
+    size, modulus = len(model.configurations), model.modulus
+    reducer = UnitReducer()
+    words = skipped = translates = vanished = 0
+    reduce_s = 0.0
+    start = clock()
+    for expr, translate in _orbits(model, max_depth):
+        words += 1
+        a = 0
+        while a < size:
+            row = translate(a) if a else expr
+            t = clock()
+            kept = reducer.add(row)
+            reduce_s += clock() - t
+            translates += 1
+            if kept:
+                a += 1
+                continue
+            vanished += 1
+            # Skip the coset of the largest subgroup whose order, a
+            # power of N, divides a (the whole group at a = 0).
+            run = 1
+            while run < size and a % (run * modulus) == 0:
+                run *= modulus
+            skipped += run == size
+            a += run
+    walk_s = clock() - start - reduce_s
+    peak_nnz = reducer.peak_nnz
+    log, rows = reducer.finish()
+    residual = SparseIntMatrix(rows)
+    t = clock()
+    factors = invariant_factors(residual)
+    smith_s = clock() - t
+    if stats is not None:
+        stats.update(
+            words=words, skipped=skipped, translates=translates,
+            vanished=vanished, pivots=len(log),
+            residual_shape=residual.shape, peak_nnz=peak_nnz,
+            rank=len(log) + len(factors),
+            walk_s=walk_s, reduce_s=reduce_s, smith_s=smith_s)
+    return [f for f in factors if f > 1], residual, log
 
 
 def random_bilinear_realization(model: ExcitationModel, rng) -> dict:

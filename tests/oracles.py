@@ -10,14 +10,15 @@ derives the same term lists independently, by shuffle parity.
 configuration, the reference for the translated rows of
 ``gen_identities``.  ``breadth_first_model`` finds the configurations
 and their moves by closure under Chain addition, the reference for the
-digit numbering of ``build_model``.
+digit numbering of ``build_model``.  ``torsion`` reads the invariant
+factors > 1 off a residual, as ``classify`` does.
 """
 
 from itertools import chain, combinations
 
 from chainphase.operad import cup_k_terms
 from chainphase.search import (_expand_numbered, _numbered_word,
-                               identity_words)
+                               identity_words, invariant_factors)
 from chainphase.simplicial import (Chain, Cochain, Phase, StandardComplex,
                                    check_simplex, cylinder_project)
 
@@ -223,3 +224,8 @@ def breadth_first_model(modulus, p, d):
                 steps[-1, s][new_key] = key
         frontier = nxt
     return tuple(sorted(seen)), steps
+
+
+def torsion(residual):
+    """Invariant factors > 1 of the cokernel a residual presents."""
+    return [f for f in invariant_factors(residual) if f > 1]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -305,28 +306,29 @@ class TestSearch:
         out = tmp_path / "word.txt"
         code, doc, _ = run_json(capsys, "search", "--G", "Z2", "--p", "0",
                                 "--d", "2", "--emit-process", str(out))
-        assert code == 0 and doc["process_steps"] == 18
+        assert code == 0 and doc["process_steps"] == 16
         code, doc, _ = run_json(capsys, "eval", "--action",
                                 "particle-quad-even", "--N", "2",
                                 "--process", str(out))
         assert code == 0
         assert doc["phase"] == {"num": 1, "den": 2}
 
-    @pytest.mark.parametrize("model,factors,shape,steps,digest", [
-        ((2, 0, 2), [4], [72, 6], 18, "0113c80ef36a3d233ec5723e3050b70c"
-         "972cd05c0ef14ff55d0f3c80d926866d"),
-        ((3, 0, 2), [3], [260, 6], 30, "448d26b536166d52a23c71131b7e603a"
-         "6b05887ca1740208d13c18f078ab62be"),
-        ((2, 0, 3), [2], [400, 6], 16, "9c24315c72589d8e7cc890884586e40b"
-         "41fad703a73743e3218a5fab56293677"),
-        ((2, 1, 3), [2], [221, 28], 42, "69053d7b28eb2a2ba0032d413a7d635a"
-         "2f0b7334426f8ea0b735275757a36a1b"),
+    @pytest.mark.parametrize("model,factors,free,shape,steps,digest", [
+        ((2, 0, 2), [4], 21, [43, 6], 16, "43e44cd1b71b19aa81c43fb6e7824bce"
+         "34238be7c713d42602f5493d4d4a13f1"),
+        ((3, 0, 2), [3], 48, [238, 6], 26, "7c9a45e2c79e73327cfe29232fe311d2"
+         "bd20393ca99e7b1b0d49b005bc530a6c"),
+        ((2, 0, 3), [2], 40, [265, 6], 20, "0c6122cee1330a707a271999bc302c1c"
+         "9df3980faa74464ff7b35e64e84dd529"),
+        ((2, 1, 3), [2], 238, [341, 24], 70, "a595ccb99be5dcd1586142930e6818"
+         "933d5eefda31f190e50bca4230e7291ea2"),
     ], ids=["Z2-p0-d2", "Z3-p0-d2", "Z2-p0-d3", "Z2-p1-d3"])
     def test_classification_is_pinned(self, capsys, tmp_path, model,
-                                      factors, shape, steps, digest):
-        # The identity rows (deduplicated up to sign) and the pivot
-        # tie rule (first column, then least row id) decide the
-        # residual and the emitted word.
+                                      factors, free, shape, steps, digest):
+        # The order in which identity rows stream into the reducer, the
+        # cosets it skips and its pivot tie rule (fewest holders, then
+        # the last entry of the row) decide the residual and the
+        # emitted word; the free rank is |S||A| minus the rank.
         N, p, d = model
         out = tmp_path / "word.txt"
         code, doc, _ = run_json(capsys, "search", "--G", f"Z{N}", "--p",
@@ -334,11 +336,39 @@ class TestSearch:
                                 str(out))
         assert code == 0
         assert doc["invariant_factors"] == factors
+        assert doc["free_rank"] == free
         assert doc["residual_shape"] == shape
         assert doc["process_steps"] == steps
         text = out.read_text()
         assert text.count("\n") == steps
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_free_rank_in_text_and_json(self, capsys):
+        # The Z4 particle model: 6 generators times 64 configurations,
+        # less the rank 291 of its identity rows.
+        argv = ("search", "--G", "Z4", "--p", "0", "--d", "2")
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0 and doc["free_rank"] == 93
+        assert doc["invariant_factors"] == [8]
+        code, text, _ = run(capsys, *argv)
+        assert code == 0 and "free rank: 93\n" in text
+
+    def test_stats_go_to_stderr_only(self, capsys):
+        argv = ("search", "--G", "Z2", "--p", "0", "--d", "2", "--json")
+        code, plain, err = run(capsys, *argv)
+        assert code == 0 and not err
+        code, out, err = run(capsys, *argv, "--stats")
+        assert code == 0 and out == plain
+        stats = dict(line[len("stats: "):].split(": ", 1)
+                     for line in err.splitlines())
+        timings = {k: stats.pop(k) for k in ("walk", "reduce", "smith")}
+        assert all(re.fullmatch(r"\d+\.\d{3} s", v)
+                   for v in timings.values())
+        assert stats == {
+            "words walked": "39", "words skipped": "16",
+            "translates reduced": "136", "translates to zero": "67",
+            "pivots": "26", "residual shape": "43 x 6",
+            "most nonzeros held": "470"}
 
     def test_bad_group(self, capsys):
         code, _, err = run(capsys, "search", "--G", "Q8", "--p", "0",
@@ -369,7 +399,9 @@ class TestSearch:
          "--checkpoint applies only with --stretch-membrane"),
         (("--stretch-membrane", "--emit-process", "WORD"),
          "--emit-process does not apply with --stretch-membrane"),
-    ], ids=["attempts", "checkpoint", "emit-process"])
+        (("--stretch-membrane", "--stats"),
+         "--stats does not apply with --stretch-membrane"),
+    ], ids=["attempts", "checkpoint", "emit-process", "stats"])
     def test_flag_outside_its_mode_is_bad_input(self, capsys, tmp_path,
                                                 extra, message):
         # Outside its mode a flag would do nothing, so it is refused
@@ -465,9 +497,9 @@ class TestSearch:
                          "--d", "2", "--emit-process", str(out))
         assert code == 0
         assert out.read_text() == (
-            "+ 0 1\n- 1 3\n+ 2 3\n+ 1 2\n- 1 3\n+ 2 3\n+ 1 2\n"
-            "- 0 1\n+ 0 2\n+ 0 3\n+ 1 3\n- 2 3\n- 1 2\n+ 1 3\n"
-            "- 2 3\n- 1 2\n- 0 3\n- 0 2\n")
+            "+ 0 1\n+ 0 2\n+ 0 1\n- 0 3\n+ 0 2\n- 0 1\n+ 0 3\n"
+            "- 0 2\n+ 0 1\n- 0 3\n+ 0 2\n- 0 1\n+ 0 3\n- 0 2\n"
+            "- 0 2\n- 0 1\n")
 
     def test_stretch_checkpoint_bytes(self, capsys, tmp_path):
         ck = tmp_path / "scan.json"

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from chainphase.intmat import SparseIntMatrix, smith_invariant_factors
+from chainphase.intmat import (SparseIntMatrix, UnitReducer,
+                               smith_invariant_factors)
 from chainphase.search import (build_model, classify, gen_identities,
                                identity_matrix, legality_attempt,
-                               legality_partition, torsion)
+                               legality_partition)
+from oracles import torsion
 
 
 def sympy_factors(rows):
@@ -33,6 +35,26 @@ def from_dense(rows):
     for r in rows:
         m.add_row({j: v for j, v in enumerate(r) if v})
     return m
+
+
+def batch_reduce(rows):
+    """(log, residual) of `SparseIntMatrix.eliminate` on dense rows."""
+    residual = from_dense(rows)
+    return residual.eliminate(), residual
+
+
+def stream_reduce(rows):
+    """(log, residual) of a `UnitReducer` fed the dense rows in order."""
+    reducer = UnitReducer()
+    for r in rows:
+        reducer.add({j: v for j, v in enumerate(r) if v})
+    log, residual = reducer.finish()
+    return log, SparseIntMatrix(residual)
+
+
+#: Both unit-pivot reductions: batch elimination and the streaming one.
+BOTH_PATHS = pytest.mark.parametrize(
+    "reduce_rows", [batch_reduce, stream_reduce], ids=["batch", "stream"])
 
 
 class RescanMatrix:
@@ -184,7 +206,8 @@ class TestSparseIntMatrix:
         m = SparseIntMatrix([{10: 1, 2: 3}, {2: 4, 7: 5}])
         assert m.to_dense() == ([[1, 3, 0], [0, 4, 5]], [10, 2, 7])
 
-    def test_eliminate_keeps_rank(self):
+    @BOTH_PATHS
+    def test_eliminate_keeps_rank(self, reduce_rows):
         # Pivoting must not change the rational row space dimension:
         # rank(original) = rank(residual) + pivots used.
         rng = random.Random(7)
@@ -192,12 +215,12 @@ class TestSparseIntMatrix:
             n, m = rng.randint(2, 6), rng.randint(2, 6)
             rows = [[rng.randint(-4, 4) for _ in range(m)]
                     for _ in range(n)]
-            mat = from_dense(rows)
-            log = mat.eliminate()
-            dense, _ = mat.to_dense()
+            log, residual = reduce_rows(rows)
+            dense, _ = residual.to_dense()
             assert rank(rows) == rank(dense) + len(log)
 
-    def test_eliminate_keeps_torsion(self):
+    @BOTH_PATHS
+    def test_eliminate_keeps_torsion(self, reduce_rows):
         # The defining property: invariant factors > 1 survive
         # unit-pivot elimination.
         rng = random.Random(19)
@@ -206,8 +229,7 @@ class TestSparseIntMatrix:
             rows = [[rng.randint(-6, 6) for _ in range(m)]
                     for _ in range(n)]
             full = [v for v in sympy_factors(rows) if v > 1]
-            mat = from_dense(rows)
-            assert cokernel_torsion(mat) == full, rows
+            assert torsion(reduce_rows(rows)[1]) == full, rows
 
     def test_eliminate_respects_allowed_cols(self):
         m = from_dense([[1, 2, 3], [0, 1, 5], [0, 0, 2]])
@@ -358,6 +380,46 @@ class TestPivotOrderAtScale:
             assert ok == (not illegal & residual.columns())
 
 
+class TestUnitReducer:
+    def test_requeued_row_is_reduced_again(self):
+        # The last row's pivot, substituted into the first two rows,
+        # gives each a +-1 in column 1, so both are re-queued.  The
+        # first one placed pivots on column 1, which the other still
+        # holds: placed without being reduced again, it reports Z_9.
+        rows = [[-2, 3, -2], [-2, 3, 2], [0, 2, 3], [1, -1, 2]]
+        log, residual = stream_reduce(rows)
+        assert torsion(residual) == [] == \
+            [v for v in sympy_factors(rows) if v > 1]
+        assert len(log) + rank(residual.to_dense()[0]) == rank(rows) == 3
+
+    def test_stored_rows_stay_reduced(self):
+        # Pivot rows hold no other pivot column; residual rows hold no
+        # pivot column and no +-1.
+        rng = random.Random(53)
+        for _ in range(40):
+            n, m = rng.randint(1, 12), rng.randint(1, 8)
+            rows = [[rng.choice((0, 0, 1, -1, 2, -2, 3)) for _ in range(m)]
+                    for _ in range(n)]
+            log, residual = stream_reduce(rows)
+            pivots = {c for c, _, _ in log}
+            assert len(pivots) == len(log)
+            assert all(sign in (1, -1) and not pivots & set(row)
+                       for _, sign, row in log)
+            for row in residual.rows.values():
+                assert not pivots & set(row)
+                assert all(abs(v) != 1 for v in row.values())
+
+    def test_add_reports_rows_in_the_span(self):
+        # The second row's pivot is substituted into the first; a sum
+        # of the two reduces to zero and is not stored.
+        reducer = UnitReducer()
+        assert reducer.add({0: 2, 1: 1}) and reducer.add({0: 1, 2: 3})
+        assert not reducer.add({0: 3, 1: 1, 2: 3})
+        assert reducer.reduce({0: 2, 1: 2, 2: -6}) == {}
+        assert reducer.nnz == reducer.peak_nnz == 4
+        assert reducer.finish() == ([(1, 1, {2: -6}), (0, 1, {2: 3})], [])
+
+
 class TestCokernelTorsion:
     def test_diag(self):
         assert cokernel_torsion(from_dense([[2, 0], [0, 1]])) == [2]
@@ -374,7 +436,8 @@ class TestCokernelTorsion:
         assert [v for v in sympy_factors([[1, 0, 2], [0, 1, -1],
                                           [2, 3, 5]]) if v > 1] == [4]
 
-    def test_negated_copies_keep_torsion(self):
+    @BOTH_PATHS
+    def test_negated_copies_keep_torsion(self, reduce_rows):
         # A row and its negative span the same lattice, so appending
         # negated and repeated copies of some rows leaves the cokernel
         # alone, and so does Smith-reducing each row once up to sign.
@@ -386,7 +449,7 @@ class TestCokernelTorsion:
             doubled = rows + [[-v for v in row] for row in rows
                               if rng.random() < 0.6]
             want = [v for v in sympy_factors(rows) if v > 1]
-            assert cokernel_torsion(from_dense(doubled)) == want, doubled
+            assert torsion(reduce_rows(doubled)[1]) == want, doubled
             assert [v for v in sympy_factors(doubled) if v > 1] == want
             doubled += [row for row in doubled if rng.random() < 0.5]
             rng.shuffle(doubled)

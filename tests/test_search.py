@@ -25,11 +25,11 @@ from chainphase.search import (
     random_bilinear_realization,
     random_sign_function,
     reconstruct_process,
-    torsion,
 )
 from chainphase import search
 from chainphase.simplicial import Chain, Phase, simplex_faces
-from oracles import breadth_first_model, per_configuration_identities
+from oracles import (breadth_first_model, per_configuration_identities,
+                     torsion)
 
 
 @pytest.fixture(scope="module")
@@ -404,18 +404,36 @@ class TestClassify:
             assert len(model.terms) - pivots - len(smith) == free
             assert [f for f in smith if f > 1] == want
 
-    @pytest.mark.parametrize("shape", PINNED_SHAPES, ids=shape_id)
-    def test_copy_classifies_as_the_original(self, shape, monkeypatch):
+    @pytest.mark.parametrize("shape", PINNED_SHAPES + [(4, 0, 2)],
+                             ids=shape_id)
+    def test_streaming_matches_batch_elimination(self, shape):
+        # The oracle: the whole identity matrix, eliminated at once.
+        # Both give the same torsion and the same rank, counted as
+        # pivots plus the residual's Smith rank, so the same free rank.
         model = build_model(*shape)
-        factors, residual, log = classify(model, 3)
-        real = search.identity_matrix
-        monkeypatch.setattr(search, "identity_matrix",
-                            lambda m, depth: real(m, depth).copy())
-        copy_factors, copy_residual, copy_log = classify(model, 3)
-        assert copy_factors == factors
-        assert copy_log == log
-        assert list(copy_residual.rows.items()) \
-            == list(residual.rows.items())
+        stats = {}
+        factors, residual, log = classify(model, 3, stats)
+        batch = identity_matrix(model, 3)
+        batch_log = batch.eliminate()
+        smith = smith_invariant_factors(batch.to_dense()[0])
+        assert factors == torsion(batch) == [f for f in smith if f > 1]
+        assert stats["rank"] == len(batch_log) + len(smith)
+        assert stats["rank"] == len(log) + len(
+            smith_invariant_factors(residual.to_dense()[0]))
+        assert stats["pivots"] == len(log)
+        assert stats["residual_shape"] == residual.shape
+
+    @pytest.mark.parametrize("shape", PINNED_SHAPES, ids=shape_id)
+    def test_copy_classifies_as_the_original(self, shape):
+        # legality_attempt eliminates a copy of its base matrix, so a
+        # copy must eliminate exactly as the original does.
+        model = build_model(*shape)
+        original = identity_matrix(model, 3)
+        copy = original.copy()
+        copy_log = copy.eliminate()
+        assert original.eliminate() == copy_log
+        assert list(copy.rows.items()) == list(original.rows.items())
+        assert torsion(copy) == torsion(original) == classify(model, 3)[0]
 
 
 class TestReconstruct:
