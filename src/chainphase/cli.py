@@ -317,6 +317,8 @@ def cmd_search(args, seed: int) -> int:
                 f"words skipped: {stats['skipped']}",
                 f"translates reduced: {stats['translates']}",
                 f"translates to zero: {stats['vanished']}",
+                f"translates onto a held residual row: "
+                f"{stats['repeated']}",
                 f"pivots: {stats['pivots']}",
                 f"residual shape: {rows} x {cols}",
                 f"most nonzeros held: {stats['peak_nnz']}",

@@ -31,7 +31,8 @@ from functools import partial
 from itertools import chain, combinations
 from pathlib import Path
 
-from .intmat import SparseIntMatrix, UnitReducer, smith_invariant_factors
+from .intmat import (SparseIntMatrix, UnitReducer, fingerprint,
+                     smith_invariant_factors)
 from .process import walk
 from .simplicial import Chain, Phase, simplex_faces
 
@@ -245,16 +246,6 @@ def identity_words(model: ExcitationModel, max_depth: int = 3):
     return words
 
 
-def _fingerprint(expr: dict) -> tuple:
-    """The expression's sorted (term, coefficient) pairs as one flat
-    tuple, negated if needed so that the first coefficient is
-    positive: equal for a row and its negative."""
-    items = sorted(expr.items())
-    if items[0][1] < 0:
-        items = [(k, -v) for k, v in items]
-    return tuple(chain.from_iterable(items))
-
-
 def _translate(terms, tables, a: int) -> dict:
     """A word's row at configuration a, from its vacuum row as ``terms``:
     (s's first term number, configuration number, coefficient)."""
@@ -289,20 +280,21 @@ def gen_identities(model: ExcitationModel, max_depth: int = 3) -> list[dict]:
     are keyed by term number (see ``ExcitationModel.terms``), word by
     word and, within a word, by configuration number (see ``_orbits``).
     Empty expansions are dropped, and so is any row equal to an earlier
-    one up to sign (a row and its negative span the same lattice).  A
-    word whose vacuum row repeats an earlier row is skipped whole: its
-    translates repeat that row's translates.
+    one up to sign (a row and its negative span the same lattice; see
+    ``intmat.fingerprint``).  A word whose vacuum row repeats an
+    earlier row is skipped whole: its translates repeat that row's
+    translates.
     """
     size = len(model.configurations)
     out = []
     seen = set()
     for expr, translate in _orbits(model, max_depth):
-        if _fingerprint(expr) in seen:
+        if fingerprint(expr) in seen:
             continue
         for row in chain((expr,), map(translate, range(1, size))):
-            fingerprint = _fingerprint(row)
-            if fingerprint not in seen:
-                seen.add(fingerprint)
+            key = fingerprint(row)
+            if key not in seen:
+                seen.add(key)
                 out.append(row)
     return out
 
@@ -316,13 +308,7 @@ def invariant_factors(residual: SparseIntMatrix) -> list[int]:
     """Every nonzero invariant factor of the residual's rows: those > 1
     are the torsion of the expression group modulo the identities, and
     their count is the residual's rank."""
-    dense, _ = residual.to_dense()
-    # Repeats and negatives of a row leave the row lattice alone, so
-    # the dense Smith sees each row once up to sign.
-    distinct = dict.fromkeys(
-        tuple(row) if next(filter(None, row)) > 0 else tuple(-v for v in row)
-        for row in dense)
-    return smith_invariant_factors(list(distinct))
+    return smith_invariant_factors(residual.to_dense()[0])
 
 
 def classify(model: ExcitationModel, max_depth: int = 3,
@@ -332,22 +318,25 @@ def classify(model: ExcitationModel, max_depth: int = 3,
     Each identity word's translation orbit streams through one
     ``UnitReducer``; no identity matrix is built.  A word's rows go in
     by configuration number, and a run of them is skipped when its
-    first row reduces to zero.  When a word starts, each earlier
-    word's whole orbit lies in the span, so the span is closed under
-    every translation.  Configurations below N^i form a subgroup H,
-    whose cosets are the runs of N^i numbers from a multiple of N^i.
-    Once the word's rows below such a start a lie in the span, it is
-    closed under H as well; if the row at a lies in it too, so does
-    the whole coset a + H, which is skipped.  At a = 0, H is the whole
-    group: a word whose vacuum row reduces to zero is skipped whole.
+    first row is already in the span: it reduces to zero or onto a
+    residual row the reducer holds, up to sign.  When a word starts,
+    each earlier word's whole orbit lies in the span, so the span is
+    closed under every translation.  Configurations below N^i form a
+    subgroup H, whose cosets are the runs of N^i numbers from a
+    multiple of N^i.  Once the word's rows below such a start a lie in
+    the span, it is closed under H as well; if the row at a lies in it
+    too, so does the whole coset a + H, which is skipped.  At a = 0, H
+    is the whole group: a word whose vacuum row is in the span is
+    skipped whole.
 
     The residual is a ``SparseIntMatrix`` of the reducer's residual
-    rows, and each log entry is (column, pivot sign, the fully reduced
-    pivot row without its column).
+    rows, each distinct up to sign, and each log entry is (column,
+    pivot sign, the fully reduced pivot row without its column).
 
     A ``stats`` dict is filled with what the run did: the counts
     ``words`` walked, ``skipped`` (whole), ``translates`` reduced,
-    ``vanished`` (translates that reduced to zero), ``pivots``,
+    ``vanished`` (translates that reduced to zero), ``repeated``
+    (translates that reduced onto a held residual row), ``pivots``,
     ``residual_shape``, ``peak_nnz`` (the most nonzeros the reducer
     held), ``rank`` (pivots plus the residual's Smith rank), and the
     seconds ``walk_s`` (word expansion and translation), ``reduce_s``
@@ -356,7 +345,7 @@ def classify(model: ExcitationModel, max_depth: int = 3,
     clock = time.perf_counter
     size, modulus = len(model.configurations), model.modulus
     reducer = UnitReducer()
-    words = skipped = translates = vanished = 0
+    words = skipped = translates = vanished = repeated = 0
     reduce_s = 0.0
     start = clock()
     for expr, translate in _orbits(model, max_depth):
@@ -371,7 +360,11 @@ def classify(model: ExcitationModel, max_depth: int = 3,
             if kept:
                 a += 1
                 continue
-            vanished += 1
+            # add leaves a row that reduced to zero empty.
+            if row:
+                repeated += 1
+            else:
+                vanished += 1
             # Skip the coset of the largest subgroup whose order, a
             # power of N, divides a (the whole group at a = 0).
             run = 1
@@ -389,7 +382,7 @@ def classify(model: ExcitationModel, max_depth: int = 3,
     if stats is not None:
         stats.update(
             words=words, skipped=skipped, translates=translates,
-            vanished=vanished, pivots=len(log),
+            vanished=vanished, repeated=repeated, pivots=len(log),
             residual_shape=residual.shape, peak_nnz=peak_nnz,
             rank=len(log) + len(factors),
             walk_s=walk_s, reduce_s=reduce_s, smith_s=smith_s)
@@ -562,8 +555,9 @@ def legality_search(model: ExcitationModel, attempts: int,
     """Resumable scan over random sign functions for a Z-liftable process.
 
     State (trial count, RNG state, successes) persists in the
-    checkpoint file, replaced atomically after every trial; rerunning
-    continues where the last run stopped.  The checkpoint's last key,
+    checkpoint file, replaced atomically after every trial that ran
+    ``legality_attempt`` and after the last trial; rerunning continues
+    where the last saved trial left off.  The checkpoint's last key,
     ``scan``, records the model, depth and seed ({"N", "p", "d",
     "depth", "seed"}); resuming under any other value of one of them
     raises ValueError naming the field, while a checkpoint without the
@@ -578,8 +572,11 @@ def legality_search(model: ExcitationModel, attempts: int,
     function fixes the illegal columns, so one call runs the
     trial of each distinct sign vector once: a table of outcomes
     (success and residual shape, never the residual itself) answers
-    every repeat.  The table is not saved; a resumed run rebuilds it
-    and returns the same result.  This is the batch-scale mode: a full
+    every repeat.  Such a trial costs less than a checkpoint write, so
+    it writes none unless it is the last.  The table is not saved; a
+    resumed run rebuilds it, replays the trials after the last write
+    from the same RNG stream, and returns the same result and the same
+    checkpoint bytes.  This is the batch-scale mode: a full
     membrane scan is a multi-hour job and is not part of any test tier.
     """
     if model.modulus != 2:
@@ -624,7 +621,8 @@ def legality_search(model: ExcitationModel, attempts: int,
     while done < attempts:
         f = random_sign_function(model, rng)
         signs = tuple(f.values())
-        if signs not in outcomes:
+        ran = signs not in outcomes
+        if ran:
             ok, residual = legality_attempt(base, f, model)
             outcomes[signs] = ok, residual.shape
         ok, shape = outcomes[signs]
@@ -635,7 +633,7 @@ def legality_search(model: ExcitationModel, attempts: int,
                 "f": {"".join(map(str, t)): v for t, v in sorted(f.items())},
                 "residual_shape": list(shape),
             })
-        if tmp:
+        if tmp and (ran or done == attempts):
             # Temp file, then rename over: a kill leaves the old
             # checkpoint or the new one, never a truncated one.
             state = rng.getstate()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from chainphase.intmat import (SparseIntMatrix, UnitReducer,
+from chainphase.intmat import (SparseIntMatrix, UnitReducer, fingerprint,
                                smith_invariant_factors)
 from chainphase.search import (build_model, classify, gen_identities,
                                identity_matrix, legality_attempt,
@@ -409,6 +409,57 @@ class TestUnitReducer:
                 assert not pivots & set(row)
                 assert all(abs(v) != 1 for v in row.values())
 
+    def test_residual_holds_each_row_once_up_to_sign(self):
+        # Random rows with repeats, negatives and multiples: no two
+        # residual rows are equal up to sign, and the nonzero count and
+        # the per-column holder counts match the rows stored.
+        rng = random.Random(59)
+        for _ in range(60):
+            m = rng.randint(1, 6)
+            rows = [{j: rng.choice((1, -1, 2, -2, 3, 4)) for j in range(m)
+                     if rng.random() < 0.6} for _ in range(rng.randint(1, 8))]
+            rows += [{j: rng.choice((-1, 2)) * v for j, v in row.items()}
+                     for row in rows if rng.random() < 0.5]
+            rng.shuffle(rows)
+            reducer = UnitReducer()
+            for row in rows:
+                reducer.add(dict(row))
+                stored = reducer._rows.values()
+                assert reducer.nnz == sum(map(len, stored))
+                held = {}
+                for kept in stored:
+                    for k in kept:
+                        held[k] = held.get(k, 0) + 1
+                assert {k: n for k, n in reducer._held.items() if n} \
+                    == {k: n for k, n in held.items()
+                        if k not in reducer._pivot}
+            log, residual = reducer.finish()
+            keys = [fingerprint(row) for row in residual]
+            assert len(set(keys)) == len(keys)
+            dense = [[row.get(j, 0) for j in range(m)] for row in rows]
+            assert [v for v in smith_invariant_factors(
+                [[row.get(j, 0) for j in range(m)] for row in residual])
+                if v > 1] == [v for v in sympy_factors(dense) if v > 1]
+
+    def test_held_residual_row_and_its_negative_are_dropped(self):
+        reducer = UnitReducer()
+        assert reducer.add({0: 2, 1: 4})
+        for row in ({0: 2, 1: 4}, {0: -2, 1: -4}):
+            assert not reducer.add(row)
+            assert fingerprint(row) == fingerprint({0: 2, 1: 4})
+        assert reducer.nnz == 2
+        assert reducer.finish() == ([], [{0: 2, 1: 4}])
+
+    def test_residual_row_that_comes_to_repeat_another_is_dropped(self):
+        # The pivot on column 1 turns both residual rows into +-{0: 2};
+        # the second is dropped, its nonzeros uncounted.
+        reducer = UnitReducer()
+        assert reducer.add({0: 2, 1: 2}) and reducer.add({0: -2, 1: 2})
+        assert reducer.nnz == reducer.peak_nnz == 4
+        assert reducer.add({1: 1})
+        assert reducer.nnz == 2 and reducer.peak_nnz == 4
+        assert reducer.finish() == ([(1, 1, {})], [{0: 2}])
+
     def test_add_reports_rows_in_the_span(self):
         # The second row's pivot is substituted into the first; a sum
         # of the two reduces to zero and is not stored.
@@ -461,11 +512,15 @@ class TestCokernelTorsion:
                                        (2, 1, 3)],
                              ids=lambda s: "Z{}-p{}-d{}".format(*s))
     def test_pinned_residuals_match_the_full_smith(self, shape):
-        # The residual's distinct rows give the torsion of all its rows.
-        _, residual, _ = classify(build_model(*shape), 3)
-        dense, _ = residual.to_dense()
-        assert torsion(residual) \
-            == [v for v in smith_invariant_factors(dense) if v > 1]
+        # The residual holds each row once up to sign, and its torsion
+        # is that of all the identity rows.
+        model = build_model(*shape)
+        _, residual, _ = classify(model, 3)
+        rows = list(residual.rows.values())
+        assert len({fingerprint(row) for row in rows}) == len(rows)
+        batch = identity_matrix(model, 3)
+        batch.eliminate()
+        assert torsion(residual) == torsion(batch)
 
     def test_free_cokernel(self):
         assert cokernel_torsion(from_dense([[2, 4]])) == [2]

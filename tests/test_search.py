@@ -49,6 +49,11 @@ MODEL_SHAPES = [(2, 0, 2), (3, 0, 2), (2, 1, 3)]
 #: the Z2 particle model in d=3.
 PINNED_SHAPES = MODEL_SHAPES[:2] + [(2, 0, 3), (2, 1, 3)]
 
+#: Each model's torsion and free rank at depth 3: the pinned models
+#: and the Z4 particle model in d=2.
+CLASSES = {(2, 0, 2): ([4], 21), (3, 0, 2): ([3], 48), (2, 0, 3): ([2], 40),
+           (2, 1, 3): ([2], 238), (4, 0, 2): ([8], 93)}
+
 #: The pinned models, the Z3 loop model and the Z2 membrane model in d=4.
 NUMBERED_SHAPES = PINNED_SHAPES + [(3, 1, 3), (2, 2, 4)]
 
@@ -416,8 +421,11 @@ class TestClassify:
         batch = identity_matrix(model, 3)
         batch_log = batch.eliminate()
         smith = smith_invariant_factors(batch.to_dense()[0])
-        assert factors == torsion(batch) == [f for f in smith if f > 1]
+        want, free = CLASSES[shape]
+        assert factors == torsion(batch) == [f for f in smith if f > 1] \
+            == want
         assert stats["rank"] == len(batch_log) + len(smith)
+        assert len(model.terms) - stats["rank"] == free
         assert stats["rank"] == len(log) + len(
             smith_invariant_factors(residual.to_dense()[0]))
         assert stats["pivots"] == len(log)
@@ -536,6 +544,10 @@ def oracle_legality_search(model, attempts, seed, max_depth=3):
     return ({"attempts": attempts, "successes": successes},
             {"done": attempts, "successes": successes,
              "rng": [state[0], list(state[1]), state[2]]})
+
+
+class Killed(Exception):
+    """A scan stopped at a checkpoint write."""
 
 
 def distinct_sign_vectors(model, attempts, seed):
@@ -685,6 +697,51 @@ class TestLegality:
         distinct = distinct_sign_vectors(particle, 40, 4)
         assert len(calls) == len(set(calls)) == len(distinct) < 40
         assert set(calls) == distinct
+
+    def test_one_write_per_trial_that_ran(self, particle, tmp_path,
+                                          monkeypatch):
+        # Every trial of a new sign vector writes, and so does the last
+        # trial, which at this seed repeats an earlier one.
+        writes = []
+        real = search.os.replace
+
+        def counting(src, dst):
+            writes.append(dst)
+            real(src, dst)
+
+        monkeypatch.setattr(search.os, "replace", counting)
+        legality_search(particle, 40, checkpoint=tmp_path / "scan.json",
+                        seed=4)
+        assert len(writes) == len(distinct_sign_vectors(particle, 40, 4)) \
+            + 1 == 16
+
+    @pytest.mark.parametrize("renamed", [False, True],
+                             ids=["before-rename", "after-rename"])
+    def test_killed_scan_resumes_to_the_same_bytes(self, particle, tmp_path,
+                                                   monkeypatch, renamed):
+        # A kill at the k-th write, for every k, before or after its
+        # rename: the resumed scan matches one that was never stopped.
+        whole = tmp_path / "whole.json"
+        want = legality_search(particle, 40, checkpoint=whole, seed=4)
+        real = search.os.replace
+        for k in range(1, 17):
+            calls = []
+
+            def kill_at_k(src, dst):
+                calls.append(dst)
+                if len(calls) < k or renamed:
+                    real(src, dst)
+                if len(calls) == k:
+                    raise Killed
+
+            ck = tmp_path / f"killed{k}.json"
+            monkeypatch.setattr(search.os, "replace", kill_at_k)
+            with pytest.raises(Killed):
+                legality_search(particle, 40, checkpoint=ck, seed=4)
+            monkeypatch.setattr(search.os, "replace", real)
+            assert legality_search(particle, 40, checkpoint=ck,
+                                   seed=4) == want
+            assert ck.read_bytes() == whole.read_bytes()
 
     def test_stopped_scan_resumes_to_the_same_bytes(self, particle,
                                                     tmp_path):
