@@ -11,12 +11,13 @@ boundary of the 3-simplex the answer is Z_4: the semion family.
 """
 
 import random
+from itertools import combinations
 
 from chainphase.actions import get_action
 from chainphase.process import evaluate
-from chainphase.search import (build_model, classify, evaluate_expression,
-                               expand_theta, lift_halved_expression,
-                               random_bilinear_realization)
+from chainphase.search import (build_model, classify, expand_theta,
+                               lift_halved_expression)
+from chainphase.simplicial import Phase
 
 model = build_model(2, 0, 2)
 print(f"Model: mod-{model.modulus} point charges on the boundary of "
@@ -32,13 +33,21 @@ print(f"  torsion of the expression group: {factors}  (Z_4)")
 
 print()
 print("Every relation really does kill every bilinear realization:")
+# A local realization theta(s, a) = <lam_s, a>/N: lam_s pairs only with
+# the state on the faces of s, so disjoint supports never interact.
 rng = random.Random(5)
-lam = random_bilinear_realization(model, rng)
+lam = {s: {t: rng.randrange(model.modulus)
+           for t in combinations(s, model.p + 1)}
+       for s in model.generators}
 word = [(1, (0, 1)), (1, (1, 2)), (-1, (0, 1)), (-1, (1, 2))]
 vacuum = ()
 comm = expand_theta(word + word, vacuum, model)
-print("  a doubled commutator expression evaluates to",
-      evaluate_expression(comm, lam, model), "under a random realization")
+phase = Phase(0, 1)
+for (s, a_key), coeff in comm.items():
+    phase += coeff * Phase(sum(lam[s].get(t, 0) * c for t, c in a_key),
+                           model.modulus)
+print("  a doubled commutator expression evaluates to", phase,
+      "under a random realization")
 
 print()
 print("Reconstructing a runnable word from an order-2 class of the")

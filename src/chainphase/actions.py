@@ -38,8 +38,10 @@ from .simplicial import Cochain, Phase, check_simplex, simplex_faces
 
 def _plain_terms(raw) -> tuple:
     """Action terms of (coefficient, slots) pairs, every factor read
-    from the input itself."""
-    return tuple((coef, tuple((False, slot) for slot in slots))
+    from the input itself.  Equal slots share one factor tuple."""
+    factors: dict[tuple[int, ...], tuple] = {}
+    return tuple((coef, tuple(factors.setdefault(slot, (False, slot))
+                              for slot in slots))
                  for coef, slots in raw)
 
 

@@ -18,6 +18,7 @@ import json
 import os
 import random
 import sys
+from functools import cache
 
 from . import fileio, process, search
 from .actions import ActionFunctional, get_action
@@ -400,7 +401,10 @@ def cmd_selftest(args, seed: int) -> int:
     return 0 if not failed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on a process's first `main` call and reused,
+    never changed, by every later one."""
     parser = argparse.ArgumentParser(
         prog="chainphase",
         description="Exact phases of excitation-moving processes.")
@@ -476,8 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args, _resolve_seed(args.seed))
     except InputError as exc:

@@ -121,12 +121,19 @@ def _data_lines(name: str):
 
 
 def load_term_file(name: str):
-    """Read a golden term list: (coefficient, slot tuples) per line."""
+    """Read a golden term list: (coefficient, slot tuples) per line.
+
+    Each distinct slot is parsed once, and every term naming it holds
+    that one tuple.
+    """
+    slots: dict[str, tuple[int, ...]] = {}
     terms = []
     for line in _data_lines(name):
-        head, *slots = [part.strip() for part in line.split("|")]
-        terms.append((int(head),
-                      tuple(_parse_key(slot) for slot in slots)))
+        head, *keys = [part.strip() for part in line.split("|")]
+        for key in keys:
+            if key not in slots:
+                slots[key] = _parse_key(key)
+        terms.append((int(head), tuple(slots[key] for key in keys)))
     return terms
 
 

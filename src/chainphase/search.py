@@ -34,7 +34,7 @@ from pathlib import Path
 from .intmat import (SparseIntMatrix, UnitReducer, fingerprint,
                      smith_invariant_factors)
 from .process import walk
-from .simplicial import Chain, Phase, simplex_faces
+from .simplicial import Chain, simplex_faces
 
 VACUUM_KEY = ()
 
@@ -389,34 +389,6 @@ def classify(model: ExcitationModel, max_depth: int = 3,
     return [f for f in factors if f > 1], residual, log
 
 
-def random_bilinear_realization(model: ExcitationModel, rng) -> dict:
-    """A random Pauli-style phase assignment theta(s, a) = <lam_s, a>/N.
-
-    Locality makes the commutator axioms hold: lam_s pairs only with
-    the state restricted to the faces of s, so operators with disjoint
-    supports accumulate no cross terms and every identity expression
-    evaluates to zero.
-    """
-    lam = {}
-    for s in model.generators:
-        entries = {}
-        for t in combinations(s, model.p + 1):
-            v = rng.randrange(model.modulus)
-            if v:
-                entries[t] = v
-        lam[s] = entries
-    return lam
-
-
-def evaluate_expression(expr: dict, lam: dict,
-                        model: ExcitationModel) -> Phase:
-    total = Phase(0, 1)
-    for (s, a_key), coeff in expr.items():
-        pairing = sum(lam[s].get(t, 0) * c for t, c in a_key)
-        total += coeff * Phase(pairing, model.modulus)
-    return total
-
-
 class ReconstructError(ValueError):
     pass
 
@@ -492,16 +464,18 @@ def lift_halved_expression(residual: SparseIntMatrix,
                            model: ExcitationModel):
     """The paper's final step: find an all-even residual row, halve it,
     and rebuild a process word from the halved expression (None when
-    no row qualifies)."""
-    rows = residual.rows
-    for rid in sorted(rows):
-        row = rows[rid]
-        if all(v % 2 == 0 for v in row.values()):
-            halved = {model.terms[col]: v // 2 for col, v in row.items()}
-            try:
-                return reconstruct_process(halved, model)
-            except ReconstructError:
-                continue
+    no row qualifies).  Rows are tried cheapest first: least sum of
+    |coefficient|, then least row id."""
+    even = sorted((sum(map(abs, row.values())), rid)
+                  for rid, row in residual.rows.items()
+                  if all(v % 2 == 0 for v in row.values()))
+    for _, rid in even:
+        halved = {model.terms[col]: v // 2
+                  for col, v in residual.rows[rid].items()}
+        try:
+            return reconstruct_process(halved, model)
+        except ReconstructError:
+            continue
     return None
 
 

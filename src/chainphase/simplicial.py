@@ -11,8 +11,8 @@ mod 1, so everything stays exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Mapping
 
 
@@ -69,9 +69,12 @@ class Phase:
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=1):
-        f = Fraction(num, den) % 1
-        object.__setattr__(self, "num", f.numerator)
-        object.__setattr__(self, "den", f.denominator)
+        if den < 0:
+            num, den = -num, -den
+        num %= den  # ZeroDivisionError for den == 0
+        g = gcd(num, den)
+        object.__setattr__(self, "num", num // g)
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("Phase is immutable")

@@ -12,6 +12,9 @@ configuration, the reference for the translated rows of
 and their moves by closure under Chain addition, the reference for the
 digit numbering of ``build_model``.  ``torsion`` reads the invariant
 factors > 1 off a residual, as ``classify`` does.
+``random_bilinear_realization`` draws a local Pauli-style phase
+assignment and ``evaluate_expression`` reads an expression under it:
+the realizations every identity row must kill.
 """
 
 from itertools import chain, combinations
@@ -229,3 +232,32 @@ def breadth_first_model(modulus, p, d):
 def torsion(residual):
     """Invariant factors > 1 of the cokernel a residual presents."""
     return [f for f in invariant_factors(residual) if f > 1]
+
+
+def random_bilinear_realization(model, rng):
+    """A random Pauli-style phase assignment theta(s, a) = <lam_s, a>/N.
+
+    Locality makes the commutator axioms hold: lam_s pairs only with
+    the state restricted to the faces of s, so operators with disjoint
+    supports accumulate no cross terms and every identity expression
+    evaluates to zero.
+    """
+    lam = {}
+    for s in model.generators:
+        entries = {}
+        for t in combinations(s, model.p + 1):
+            v = rng.randrange(model.modulus)
+            if v:
+                entries[t] = v
+        lam[s] = entries
+    return lam
+
+
+def evaluate_expression(expr, lam, model):
+    """The phase of an expression under a realization from
+    ``random_bilinear_realization``."""
+    total = Phase(0, 1)
+    for (s, a_key), coeff in expr.items():
+        pairing = sum(lam[s].get(t, 0) * c for t, c in a_key)
+        total += coeff * Phase(pairing, model.modulus)
+    return total

@@ -3,8 +3,11 @@ import random
 
 import pytest
 
-from chainphase.actions import ActionFunctional, action_names, get_action
+from chainphase.actions import (ActionFunctional, _terms, action_names,
+                                get_action)
 from chainphase.boundary import delta_on
+from chainphase.fileio import load_term_file
+from chainphase.operad import p1_sign
 from chainphase.simplicial import Cochain, Phase, StandardComplex
 from oracles import positional_density
 
@@ -83,6 +86,19 @@ class TestRegistry:
 
     def test_terms_are_cached(self):
         assert get_action("cube3", 2).terms is get_action("cube3", 5).terms
+
+
+class TestTermSharing:
+    def test_p1b5_holds_each_factor_once(self):
+        terms = _terms("p1b5")
+        factors = [f for _coef, fs in terms for f in fs]
+        # One factor tuple, and one slot tuple, per distinct position.
+        assert len({id(f) for f in factors}) == len(set(factors)) == 184
+        assert len({id(slot) for _d, slot in factors}) == 184
+        assert all(not use_delta for use_delta, _slot in factors)
+        assert terms == tuple(
+            (p1_sign(5) * coef, tuple((False, slot) for slot in slots))
+            for coef, slots in load_term_file("d3_6_q5.txt"))
 
 
 class TestDensityValidation:

@@ -1,13 +1,20 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chainphase
 from chainphase import cli, search
 from chainphase.cli import main
 from chainphase.fileio import data_text
 from chainphase.simplicial import Phase
+
+SRC = Path(chainphase.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -318,18 +325,22 @@ class TestSearch:
          "34238be7c713d42602f5493d4d4a13f1"),
         ((3, 0, 2), [3], 48, [3, 6], 26, "7c9a45e2c79e73327cfe29232fe311d2"
          "bd20393ca99e7b1b0d49b005bc530a6c"),
-        ((2, 0, 3), [2], 40, [2, 6], 20, "0c6122cee1330a707a271999bc302c1c"
-         "9df3980faa74464ff7b35e64e84dd529"),
-        ((2, 1, 3), [2], 238, [3, 24], 118, "5b45a48673479c7ea74be4b058d6bb"
-         "c8462219d2656f3051aa58b2bf2bffecc9"),
+        ((2, 0, 3), [2], 40, [2, 6], 16, "fae10e430a905b0f3bfa40d05757ab9f"
+         "6c5cfc19c8f3667df4468e6d5703a371"),
+        ((2, 1, 3), [2], 238, [3, 24], 46, "f3a3e1e9081e44044bbbb8187dafb7"
+         "5e6ba72c61805b4bd6556f1206c6ada779"),
     ], ids=["Z2-p0-d2", "Z3-p0-d2", "Z2-p0-d3", "Z2-p1-d3"])
     def test_classification_is_pinned(self, capsys, tmp_path, model,
                                       factors, free, shape, steps, digest):
         # The order in which identity rows stream into the reducer, the
         # cosets it skips, its pivot tie rule (fewest holders, then the
         # last entry of the row) and which of two residual rows equal
-        # up to sign it keeps decide the residual and the emitted word;
-        # the free rank is |S||A| minus the rank.
+        # up to sign it keeps decide the residual; the free rank is
+        # |S||A| minus the rank.  The word lifts the all-even row of
+        # least sum |coefficient| (ties to the least row id): on
+        # (2, 0, 3) the rows sum to 24 and 12, on (2, 1, 3) to 192, 96
+        # and 48, so those two lift their last row, in 16 and 46 steps
+        # where the first row took 20 and 118.
         N, p, d = model
         out = tmp_path / "word.txt"
         code, doc, _ = run_json(capsys, "search", "--G", f"Z{N}", "--p",
@@ -544,6 +555,37 @@ class TestSearch:
             main(["search", "--G", "Z2", "--p", "0", "--d", "2",
                   "--workers", "8"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    # Defaults of one subcommand and of --seed must not leak into the
+    # next call, and every call must print what a fresh process prints.
+    SEQUENCE = (
+        ("check-cancel", "--coeff", "Z3", "--json"),
+        ("steenrod", "--what", "psi3", "--n", "1", "--json"),
+        ("check-cancel", "--json"),
+        ("steenrod", "--what", "p1", "--json"),
+        ("--seed", "4", "eval", "--action", "particle-quad", "--N", "5",
+         "--process", "tjunction", "--json"),
+        ("eval", "--action", "particle-quad", "--process", "tjunction",
+         "--json"),
+        ("search", "--G", "Z2", "--p", "0", "--d", "2", "--json"),
+    )
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_successive_calls_match_separate_processes(self, capsys):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        for argv in self.SEQUENCE:
+            code, out, err = run(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "chainphase.cli", *argv], env=env,
+                capture_output=True, text=True, timeout=60)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                        fresh.stderr), argv
 
 
 class TestSelftest:

@@ -129,6 +129,20 @@ class TestGoldenData:
         assert len(phi) == 9
         assert all(len(slots) == 3 for _coef, slots in phi)
 
+    def test_big_term_list_shares_each_slot(self):
+        terms = load_term_file("d3_6_q5.txt")
+        # One tuple object per distinct position ...
+        slots = [slot for _coef, slots in terms for slot in slots]
+        assert len({id(slot) for slot in slots}) == len(set(slots)) == 184
+        # ... and the same list a plain line-by-line parse gives.
+        plain = []
+        for raw in data_text("d3_6_q5.txt").splitlines():
+            if raw.strip() and not raw.startswith("#"):
+                head, *keys = raw.split("|")
+                plain.append((int(head), tuple(
+                    tuple(int(v) for v in key.split(",")) for key in keys)))
+        assert terms == plain
+
     def test_psi3_listing_keys(self):
         psi3 = load_psi3()
         assert set(psi3) == {0, 1, 2, 4, 6}

@@ -13,7 +13,6 @@ from chainphase.search import (
     ReconstructError,
     build_model,
     classify,
-    evaluate_expression,
     expand_theta,
     gen_identities,
     identity_matrix,
@@ -22,14 +21,14 @@ from chainphase.search import (
     is_legal_term,
     legality_attempt,
     legality_search,
-    random_bilinear_realization,
     random_sign_function,
     reconstruct_process,
 )
 from chainphase import search
 from chainphase.simplicial import Chain, Phase, simplex_faces
-from oracles import (breadth_first_model, per_configuration_identities,
-                     torsion)
+from oracles import (breadth_first_model, evaluate_expression,
+                     per_configuration_identities,
+                     random_bilinear_realization, torsion)
 
 
 @pytest.fixture(scope="module")

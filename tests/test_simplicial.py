@@ -136,6 +136,21 @@ class TestPhase:
         from math import gcd
         assert gcd(p.num, p.den) == 1
 
+    @given(st.integers(-10 ** 30, 10 ** 30),
+           st.integers(-10 ** 12, 10 ** 12).filter(bool))
+    def test_reduces_as_fraction_mod_one(self, n, d):
+        # The library reduces with math.gcd alone; Fraction is only the
+        # reference here.
+        from fractions import Fraction
+        want = Fraction(n, d) % 1
+        p = Phase(n, d)
+        assert (p.num, p.den) == (want.numerator, want.denominator)
+
+    @pytest.mark.parametrize("n", [0, 1, -3])
+    def test_zero_denominator_raises(self, n):
+        with pytest.raises(ZeroDivisionError):
+            Phase(n, 0)
+
 
 class TestDualize:
     def test_sign_examples(self):
