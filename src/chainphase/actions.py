@@ -98,20 +98,31 @@ def _compile_terms(terms, degree: int, spacetime: int):
              enumerate(combinations(range(spacetime + 1), degree + 1))}
     delta_at: dict[tuple[int, ...], int] = {}
     delta_rows = []
+
+    def compile_factor(factor) -> int:
+        use_delta, positions = factor
+        positions = check_simplex(positions)
+        if not use_delta:
+            return index[positions]
+        if positions not in delta_at:
+            delta_at[positions] = len(index) + len(delta_rows)
+            delta_rows.append(tuple(
+                (sign, index[face])
+                for face, sign in simplex_faces(positions)))
+        return delta_at[positions]
+
+    # Term lists share their factor objects, so each object is compiled
+    # once and found again by its id (``terms`` keeps every one alive).
+    terms = tuple(terms)
+    at: dict[int, int] = {}
     rows = []
     for coef, factors in terms:
         idx = []
-        for use_delta, positions in factors:
-            positions = check_simplex(positions)
-            if not use_delta:
-                idx.append(index[positions])
-                continue
-            if positions not in delta_at:
-                delta_at[positions] = len(index) + len(delta_rows)
-                delta_rows.append(tuple(
-                    (sign, index[face])
-                    for face, sign in simplex_faces(positions)))
-            idx.append(delta_at[positions])
+        for factor in factors:
+            i = at.get(id(factor))
+            if i is None:
+                i = at[id(factor)] = compile_factor(factor)
+            idx.append(i)
         rows.append((tuple(idx), coef))
     rows.sort()
     return tuple(delta_rows), _tree(rows)

@@ -22,11 +22,29 @@ usually written, in every spacetime dimension D:
     delta Phi_cone[b] = T[delta b]
     delta Theta[B, h] = T[B + delta h] - T[B]    (B closed)
 
-A hop (``modified_excitation_phase``, and ``cylinder_theta``) is index
-arithmetic over one geometry compiled per (k, n), ``_HopGeometry``:
-it checks its arguments once, reads b (or B) and h on the faces of
-s, fills a dense prism vector and sums the action's factor tree over
-the prism's top cells, building no ``Cochain`` on the way.
+The prism s x I carries each vertex v of s twice, v on the bottom
+copy and v' on the top, in the order 0 < 0' < 1 < 1' < ...  Its top
+cells are the standard prism triangulation <0..i, i'..k'>, i = 0..k,
+and the cell <0..i, i'..k'> counts with sign (-1)^(i+1), which puts
+the bottom copy into the boundary with sign +1.
+
+A hop (``modified_excitation_phase``, and ``cylinder_theta``) never
+forms the prism.  An n-face of a top cell with bottom vertices a and
+top vertices b (the max of an empty a counting as -1) takes the value
+of the pullback of B plus the coboundary of h on the bottom copy,
+which reads off B on the n-faces of s, h on its (n-1)-faces and the
+coboundary delta of s:
+
+    b empty                       (B + delta h)(a)
+    b = {y}, y > max a            B(a + y) + (-1)^n h(a)
+    b = {y}, y = max a            (-1)^n h(a)
+    |b| >= 2, min b > max a       B(a + b)
+    |b| >= 2, min b = max a       0
+
+``_HopGeometry`` compiles these cases into index tables once per
+(k, n).  A hop checks its arguments once, fills one vector with the
+five columns and sums the action's factor tree over the top cells,
+building no ``Cochain`` on the way.
 
 The local densities ``boundary_symmetry_phase`` and
 ``explicit_hopping_phase`` are specific to the six-dimensional cubic
@@ -35,12 +53,13 @@ theory, where the boundary degrees of freedom have degree one.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations
+from math import comb
 from operator import itemgetter
 
 from .actions import ActionFunctional
-from .simplicial import (Cochain, Phase, StandardComplex, check_simplex,
-                         cylinder_project)
+from .simplicial import Cochain, Phase, StandardComplex, check_simplex
 
 
 def delta_on(b: Cochain, s) -> Cochain:
@@ -84,8 +103,7 @@ def cylinder_theta(action: ActionFunctional, B: Cochain, h: Cochain,
 
     The prism is oriented so that its bottom copy of s, the one
     carrying h, enters the boundary with sign +1: the top cell
-    <0..i, i'..k'> counts with sign (-1)^(i+1), which is (-1)^D times
-    the sign ``StandardComplex.cylinder`` gives it.  Then
+    <0..i, i'..k'> counts with sign (-1)^(i+1).  Then
     delta Theta[B, h] = T[B + delta h] - T[B] for closed B in every D.
     """
     s, hop = _hop_args(action, s, B.degree, h)
@@ -99,7 +117,7 @@ def modified_excitation_phase(action: ActionFunctional, b: Cochain,
     """Phase attached to one hop: minus Theta of (coboundary of b, h)."""
     s, hop = _hop_args(action, s, b.degree + 1, h)
     faces = list(combinations(s, action.degree))
-    base = [0] * len(hop.lifts)
+    base = [0] * hop.faces
     for x, cofaces in zip(b.values_on(faces), hop.cofaces):
         if x:
             for i, sign in cofaces:
@@ -124,70 +142,111 @@ def _hop_args(action: ActionFunctional, s, degree: int, h: Cochain):
 
 class _HopGeometry:
     """Index tables of a hop over the prism Delta_k x I for degree-n
-    actions, built once per (k, n).
+    actions, built once per (k, n) by index arithmetic on the face
+    numbering of Delta_k, which is ascending (``combinations``) order.
 
-    Faces of Delta_k are numbered in ascending (``combinations``)
-    order, and the prism's degree-n simplices in ``simplices`` order,
-    which numbers the entries of a dense prism vector.
+    A hop never forms the prism.  With F n-faces and R (n-1)-faces of
+    Delta_k, it fills one vector W of 3F + R + 1 entries,
 
-    * ``cofaces[j]``: the coboundary of the j-th (n-1)-face, as
-      (n-face index, sign) pairs;
-    * ``lifts[i]``: the prism simplices that project onto the i-th
-      n-face without degenerating;
-    * ``columns[j]``: the prism coboundary of the bottom copy of the
-      j-th (n-1)-face, as (prism index, sign) pairs;
+        [B | B + delta h | B(g) + (-1)^n h(g minus its top vertex)
+           | (-1)^n h | 0],
+
+    the first three blocks numbered by n-faces g, the fourth by
+    (n-1)-faces.  Each n-face of a top cell reads its prism value,
+    one of the cases of the module docstring, from one entry.
+
+    * ``cofaces[j]``: the coboundary of the j-th (n-1)-face a, as
+      (n-face index, sign) pairs in ascending order of the added
+      vertex; from ``tops[j]`` on they add a vertex above max a;
     * ``cells``: per top cell of the prism, its orientation sign and a
-      getter of its n-faces from the prism vector, in ascending order.
+      getter of its n-faces from W, in ascending order.
     """
 
-    __slots__ = ("size", "cofaces", "lifts", "columns", "cells")
+    __slots__ = ("faces", "size", "sign", "cofaces", "tops", "cells")
 
     def __init__(self, k: int, n: int):
-        cyl = StandardComplex.cylinder(k)
-        prism = {t: u for u, t in enumerate(cyl.simplices(n))}
-        index = {f: i for i, f in
-                 enumerate(combinations(range(k + 1), n + 1))}
-        lifts = [[] for _ in index]
-        for t, u in prism.items():
-            base = cylinder_project(t)
-            if base is not None:
-                lifts[index[base]].append(u)
-        simplex = StandardComplex.simplex(k)
-        self.size = len(prism)
-        self.cofaces = []
-        self.columns = []
-        for f in combinations(range(k + 1), n):
-            self.cofaces.append(tuple(
-                (index[t], sign) for t, sign in
-                Cochain(n - 1, {f: 1}).coboundary(simplex).items()))
-            bottom = Cochain(n - 1, {tuple(2 * v for v in f): 1})
-            self.columns.append(tuple(
-                (prism[t], sign)
-                for t, sign in bottom.coboundary(cyl).items()))
-        self.lifts = [tuple(us) for us in lifts]
-        # The prism's orientation differs from the cylinder's by (-1)^D.
-        flip = -1 if (k + 1) % 2 else 1
-        self.cells = [(flip * sign, itemgetter(*(
-            prism[t] for t in combinations(cell, n + 1))))
-            for cell, sign in cyl.top_cells]
+        F, R = comb(k + 1, n + 1), comb(k + 1, n)
+        self.faces = F
+        self.size = 3 * F + R + 1
+        self.sign = -1 if n % 2 else 1
+        rank_n, rank_r = _ranker(k, n + 1), _ranker(k, n)
+        cofaces = [[] for _ in range(R)]
+        for g, face in enumerate(combinations(range(k + 1), n + 1)):
+            pair = ((g, 1), (g, -1))
+            for p in range(n + 1):
+                cofaces[rank_r(face[:p] + face[p + 1:])].append(pair[p % 2])
+        self.tops = [len(pairs) - (k - face[-1]) for pairs, face in
+                     zip(cofaces, combinations(range(k + 1), n))]
+        self.cofaces = [tuple(pairs) for pairs in cofaces]
+        # Position p of the cell <0..i, i'..k'> holds the bottom vertex
+        # p when p <= i, else the top vertex p - 1, so a face t of
+        # positions has s = bisect_right(t, i) bottom vertices.  One
+        # int object per entry of W keeps the getters small.
+        block = [0] * n + [2 * F, F]  # by s: |b| >= 2, b = {y}, b empty
+        entry = list(range(self.size))
+        self.cells = []
+        for i in range(k + 1):
+            column = []
+            for t in combinations(range(k + 2), n + 1):
+                s = bisect_right(t, i)
+                if 0 < s <= n and t[s] - 1 == t[s - 1]:
+                    # Vertex i lies on both copies: (-1)^n h(a) for
+                    # b = {i}, else the closing 0 of W.
+                    u = 3 * F + rank_r(t[:n]) if s == n else -1
+                else:
+                    u = block[s] + rank_n(t, s)
+                column.append(entry[u])
+            self.cells.append((1 if i % 2 else -1, itemgetter(*column)))
 
     def theta(self, action: ActionFunctional, base, hvals) -> int:
         """Integer total of Theta from B on the n-faces of the base
         and h on its (n-1)-faces, both in ascending order."""
+        F = self.faces
         vec = [0] * self.size
-        for x, us in zip(base, self.lifts):
+        for g, x in enumerate(base):
             if x:
-                for u in us:
-                    vec[u] = x
-        for c, column in zip(hvals, self.columns):
+                vec[g] = vec[F + g] = vec[2 * F + g] = x
+        for j, c in enumerate(hvals):
             if c:
-                for u, sign in column:
-                    vec[u] += sign * c
+                cofaces = self.cofaces[j]
+                for g, sign in cofaces:
+                    vec[F + g] += sign * c
+                c *= self.sign
+                for g, _ in cofaces[self.tops[j]:]:
+                    vec[2 * F + g] += c
+                vec[3 * F + j] = c
         density = action.face_density
         return sum(sign * density(faces(vec)) for sign, faces in self.cells)
 
 
+def _ranker(k: int, m: int):
+    """Numbering of the m-vertex faces of Delta_k in ``combinations``
+    order: C(k+1, m) - 1 - sum_j C(k - c_j, m - j) for ascending c.
+    ``rank(t, s)`` numbers the face t[:s] + (t[s] - 1, ..., t[-1] - 1).
+
+    >>> rank = _ranker(3, 2)
+    >>> [rank(c) for c in combinations(range(4), 2)]
+    [0, 1, 2, 3, 4, 5]
+    >>> rank((1, 3), 1)
+    3
+    """
+    last = comb(k + 1, m) - 1
+    weights = [[comb(k - v, m - j) for v in range(k + 1)] for j in range(m)]
+
+    def rank(t, s=m) -> int:
+        total = last
+        for j, v in enumerate(t):
+            total -= weights[j][v - 1 if j >= s else v]
+        return total
+    return rank
+
+
 _HOPS: dict[tuple[int, int], _HopGeometry] = {}
+
+
+def hop_geometries_built() -> int:
+    """How many hop geometries this process has built, one per (k, n)."""
+    return len(_HOPS)
 
 
 def boundary_action_phase(b: Cochain, N: int, s) -> Phase:

