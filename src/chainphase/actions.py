@@ -29,7 +29,7 @@ of face values; ``density`` and every hop of ``boundary`` call it.
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import combinations, groupby
+from itertools import combinations
 
 from .fileio import load_term_file
 from .operad import cup_k_terms, p1_sign, p1_terms, phi_terms
@@ -128,17 +128,26 @@ def _compile_terms(terms, degree: int, spacetime: int):
     return tuple(delta_rows), _tree(rows)
 
 
-def _tree(rows) -> tuple:
-    """Prefix tree of (indices, coefficient) rows sorted by indices."""
-    tree = []
-    for i, group in groupby(rows, key=lambda row: row[0][0]):
-        coef, rest = 0, []
-        for idx, c in group:
-            if len(idx) == 1:
-                coef += c
-            else:
-                rest.append((idx[1:], c))
-        tree.append((i, coef, _tree(rest)))
+def _tree(rows, depth: int = 0) -> tuple:
+    """Prefix tree of (indices, coefficient) rows sorted by indices,
+    branching on each row's index at ``depth``.  A node's subtree is
+    built as soon as its rows end, so only one path's rows are held."""
+    tree, rest = [], []
+    head = coef = None
+    for row in rows:
+        idx, c = row
+        if idx[depth] != head:
+            if head is not None:
+                tree.append((head, coef,
+                             _tree(rest, depth + 1) if rest else ()))
+                rest = []
+            head, coef = idx[depth], 0
+        if len(idx) == depth + 1:
+            coef += c
+        else:
+            rest.append(row)
+    if head is not None:
+        tree.append((head, coef, _tree(rest, depth + 1) if rest else ()))
     return tuple(tree)
 
 

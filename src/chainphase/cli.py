@@ -438,27 +438,13 @@ def cmd_selftest(args, seed: int) -> int:
     return 0 if not failed else 1
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on a process's first `main` call and reused,
-    never changed, by every later one."""
-    parser = argparse.ArgumentParser(
-        prog="chainphase",
-        description="Exact phases of excitation-moving processes.")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized suites "
-                        "(default: $CHAINPHASE_SEED or 0)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-table",
-                       help="evaluate the 56-step word against every "
-                       "tabulated action")
+def _verify_table_options(p) -> None:
     p.add_argument("--rows", help="comma-separated subset of 1-5")
     p.add_argument("--json", action="store_true")
     p.add_argument("--stats", action="store_true", help=PHASE_STATS_HELP)
-    p.set_defaults(fn=cmd_verify_table)
 
-    p = sub.add_parser("eval", help="total phase of a word under an action")
+
+def _eval_options(p) -> None:
     p.add_argument("--action", required=True)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--process", default="mu56",
@@ -466,34 +452,32 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", help="JSON cochain file for the start state")
     p.add_argument("--json", action="store_true")
     p.add_argument("--stats", action="store_true", help=PHASE_STATS_HELP)
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("trace", help="walk a word's chain states")
+
+def _trace_options(p) -> None:
     p.add_argument("--process", default="mu56")
     p.add_argument("--initial", help="JSON chain file for the start state")
     p.add_argument("--diff-golden", metavar="PATH",
                    help="compare against a golden trace file "
                    "('builtin' for the packaged 56-step trace)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_trace)
 
-    p = sub.add_parser("check-cancel",
-                       help="local cancellation verdict for a word")
+
+def _check_cancel_options(p) -> None:
     p.add_argument("--process", default="mu56")
     p.add_argument("--coeff", default="Z", help="Z or Z<n>")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_check_cancel)
 
-    p = sub.add_parser("steenrod", help="print operad term listings")
+
+def _steenrod_options(p) -> None:
     p.add_argument("--what", required=True, choices=("psi3", "d3", "p1"))
     p.add_argument("--n", type=int, default=2,
                    help="subscript for psi3/d3 listings")
     p.add_argument("--q", type=int, default=3, help="input cochain degree")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_steenrod)
 
-    p = sub.add_parser("search",
-                       help="classify statistical processes for a model")
+
+def _search_options(p) -> None:
     p.add_argument("--G", required=True, help="fusion group, Z or Z<n>")
     p.add_argument("--p", type=int, required=True,
                    help="excitation dimension")
@@ -511,15 +495,54 @@ def _parser() -> argparse.ArgumentParser:
                    help="write the classification's counts and stage "
                    "timings to stderr")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_search)
 
-    p = sub.add_parser("selftest", help="run the built-in smoke suite")
-    p.set_defaults(fn=cmd_selftest)
+
+COMMANDS = {
+    # name: (help, handler, options)
+    "verify-table": ("evaluate the 56-step word against every tabulated "
+                     "action", cmd_verify_table, _verify_table_options),
+    "eval": ("total phase of a word under an action", cmd_eval,
+             _eval_options),
+    "trace": ("walk a word's chain states", cmd_trace, _trace_options),
+    "check-cancel": ("local cancellation verdict for a word",
+                     cmd_check_cancel, _check_cancel_options),
+    "steenrod": ("print operad term listings", cmd_steenrod,
+                 _steenrod_options),
+    "search": ("classify statistical processes for a model", cmd_search,
+               _search_options),
+    "selftest": ("run the built-in smoke suite", cmd_selftest,
+                 lambda p: None),
+}
+
+
+@cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser for a run of `command` (None: no command given),
+    built on a process's first such `main` call and reused, never
+    changed, by every later one.  Every subcommand is listed with its
+    help, so usage lines and errors read the same whatever the command,
+    but only `command`'s own options are added."""
+    parser = argparse.ArgumentParser(
+        prog="chainphase",
+        description="Exact phases of excitation-moving processes.")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed for randomized suites "
+                        "(default: $CHAINPHASE_SEED or 0)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, handler, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text, add_help=name == command)
+        if name == command:
+            options(p)
+            p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # --seed, the one top-level option, takes an int, so the first
+    # token naming a subcommand is the command.
+    command = next((a for a in argv if a in COMMANDS), None)
+    args = _parser(command).parse_args(argv)
     try:
         return args.fn(args, _resolve_seed(args.seed))
     except InputError as exc:

@@ -169,33 +169,41 @@ def phi_terms(u, degrees):
     cuts = [0] * (k + 1)
     terms = []
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per slot
+    # Per word, not per term: the interval pairs the slot sort swaps,
+    # the cuts that end inner intervals, each slot's intervals and the
+    # vertex tuple every slot is sliced from.
+    pairs = [(t1, t2) for t2 in range(k) for t1 in range(t2)
+             if u[t1] > u[t2]]
+    inner_ends = [t + 1 for t in range(k) if later[t]]
+    extra = [1 if c else 0 for c in later]
+    by_slot = [[t for t in range(k) if u[t] == s] for s in range(1, r + 1)]
+    verts = tuple(range(n + 1))
 
     def emit():
-        slots = [[] for _ in range(r)]
-        for t in range(k):
-            slots[u[t] - 1].extend(range(cuts[t], cuts[t + 1] + 1))
-        weights = [cuts[t + 1] - cuts[t] + (1 if later[t] else 0)
-                   for t in range(k)]
-        exp = 0
-        for t1 in range(k):
-            for t2 in range(t1 + 1, k):
-                if u[t1] > u[t2]:
-                    exp += weights[t1] * weights[t2]
-        for t in range(k):
-            if later[t]:
-                exp += cuts[t + 1]
-        sign = -1 if exp % 2 else 1
-        terms.append((sign, tuple(shared.setdefault(slot, slot)
-                                  for slot in map(tuple, slots))))
+        w = [b - a + e for a, b, e in zip(cuts, cuts[1:], extra)]
+        exp = sum(cuts[t] for t in inner_ends)
+        for t1, t2 in pairs:
+            exp += w[t1] * w[t2]
+        slots = []
+        for ts in by_slot:
+            slot = ()
+            for t in ts:
+                slot += verts[cuts[t]:cuts[t + 1] + 1]
+            slots.append(shared.setdefault(slot, slot))
+        terms.append((-1 if exp % 2 else 1, tuple(slots)))
 
     def place(t):
-        # Interval t starts at cuts[t]; try each end in ascending
-        # order.  Slot sizes always sum to n + k, so a term fills every
-        # slot exactly: an inner interval leaves a vertex for each later
-        # interval of its slot, and a final one takes all that is left.
-        slot, start = u[t] - 1, cuts[t]
-        if start <= last[slot]:
+        # Interval t starts at cuts[t], after its slot's last vertex;
+        # try each end in ascending order.  Slot sizes always sum to
+        # n + k, so a term fills every slot exactly: an inner interval
+        # leaves a vertex for each later interval of its slot, and a
+        # final one takes all that is left.  The last interval is final
+        # and every other slot is full by then, so it ends at n.
+        if t == k - 1:
+            cuts[k] = n
+            emit()
             return
+        slot, start = u[t] - 1, cuts[t]
         top = start + room[slot] - 1 - later[t]
         if later[t]:
             ends = range(start, min(top, n) + 1)
@@ -203,19 +211,23 @@ def phi_terms(u, degrees):
             ends = (top,)
         else:
             return
+        # The next interval must start after its slot's last vertex.
+        low = last[u[t + 1] - 1]
         for end in ends:
+            if end <= low:
+                continue
             size = end - start + 1
             cuts[t + 1] = end
             room[slot] -= size
             prev, last[slot] = last[slot], end
-            if t == k - 1:
-                emit()
-            else:
-                place(t + 1)
+            place(t + 1)
             room[slot] += size
             last[slot] = prev
 
     place(0)
+    # ``place`` holds itself through its closure cell; drop that cycle
+    # so the walk's state is freed now, not at the next gc pass.
+    del place
     return terms
 
 

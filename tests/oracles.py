@@ -4,7 +4,9 @@ The hop oracles read every value through the validated
 ``Cochain.value`` and ``on_boundary`` and build each prism afresh, so
 they share no code with the compiled term trees and hop geometry they
 check; ``cylinder_complex`` and ``cylinder_project`` give them the
-prism as a complex on encoded vertices.  The cup-k evaluators feed
+prism as a complex on encoded vertices.  ``recursive_tree`` builds a
+term tree by one ``groupby`` per node, the reference for
+``actions._tree``.  The cup-k evaluators feed
 ``operad.cup_k_terms`` to whole cochains, the reference for the
 Leibniz rule; ``shuffle_cup_k_terms`` derives the same term lists
 independently, by shuffle parity.
@@ -19,7 +21,7 @@ assignment and ``evaluate_expression`` reads an expression under it:
 the realizations every identity row must kill.
 """
 
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby
 
 from chainphase.operad import cup_k_terms
 from chainphase.search import (_expand_numbered, _numbered_word,
@@ -65,6 +67,21 @@ def positional_density(action, B, s):
                 break
         total += prod
     return total
+
+
+def recursive_tree(rows) -> tuple:
+    """Prefix tree of (indices, coefficient) rows sorted by indices:
+    group on the leading index, recurse on every group's remainders."""
+    tree = []
+    for i, group in groupby(rows, key=lambda row: row[0][0]):
+        coef, rest = 0, []
+        for idx, c in group:
+            if len(idx) == 1:
+                coef += c
+            else:
+                rest.append((idx[1:], c))
+        tree.append((i, coef, recursive_tree(rest)))
+    return tuple(tree)
 
 
 def per_hop_cylinder_theta(action, B, h, s):

@@ -2,14 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainphase.actions import (ActionFunctional, _terms, action_names,
-                                get_action)
+from chainphase.actions import (ActionFunctional, _terms, _tree,
+                                action_names, get_action)
 from chainphase.boundary import delta_on
 from chainphase.fileio import load_term_file
 from chainphase.operad import p1_sign
 from chainphase.simplicial import Cochain, Phase, StandardComplex
-from oracles import positional_density
+from oracles import positional_density, recursive_tree
 
 
 def rand_cochain(rng, deg, verts, span=3):
@@ -153,6 +155,19 @@ class TestCompiledDensity:
             assert got == positional_density(action, B, s)
             seen.append(got)
         assert any(seen)
+
+
+# Short index tuples over few values, so that rows share prefixes, end
+# at inner nodes of longer rows and repeat whole.
+tree_rows = st.lists(st.tuples(
+    st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple),
+    st.integers(-3, 3)), max_size=30).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_rows)
+def test_tree_matches_recursive_grouping(rows):
+    assert _tree(rows) == recursive_tree(rows)
 
 
 class TestClosedForms:

@@ -605,7 +605,18 @@ class TestParserReuse:
     )
 
     def test_one_parser_per_process(self):
-        assert cli._parser() is cli._parser()
+        # One per command: each is built once and reused.
+        assert cli._parser("eval") is cli._parser("eval")
+        assert cli._parser("eval") is not cli._parser("search")
+
+    def test_parser_adds_only_its_commands_options(self, capsys):
+        # Every subcommand parses under its own parser; another
+        # command's parser lists it but knows none of its options.
+        argv = ["search", "--G", "Z2", "--p", "0", "--d", "2"]
+        assert cli._parser("search").parse_args(argv).G == "Z2"
+        with pytest.raises(SystemExit):
+            cli._parser("eval").parse_args(argv)
+        assert "unrecognized arguments: --G Z2" in capsys.readouterr().err
 
     def test_successive_calls_match_separate_processes(self, capsys):
         env = dict(os.environ)

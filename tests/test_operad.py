@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -255,6 +256,20 @@ class TestPhiTermsSearch:
             assert terms == overfill_phi_terms(u, (5, 5, 5)), u
             slots = [slot for _, term in terms for slot in term]
             assert len({id(slot) for slot in slots}) == len(set(slots)), u
+
+    def test_walk_leaves_no_cyclic_garbage(self):
+        # The walk's recursive closure must not keep itself, its cut
+        # arrays and slot dict alive until the next cyclic collection.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for u in sorted(psi(3, 4)):
+                phi_terms(u, (4, 4, 4))
+                assert gc.collect() == 0, u
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestDTerms:

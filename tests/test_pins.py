@@ -4,7 +4,9 @@ Each CLI digest is the sha256 of one command's whole stdout, run with
 the default seed 0.  Each registry digest is the sha256 of the repr of
 one action's record: degree, spacetime, default N, divisor or error
 text at N = -3, 0, 1, ..., 12, term list and compiled factor tree.  A
-change to any phase, trace, listing, term or message fails here.
+change to any phase, trace, listing, term or message fails here.  The
+usage pins hold argparse's help and error text at COLUMNS=80, as
+CPython 3.11's argparse words it.
 """
 
 import hashlib
@@ -47,6 +49,43 @@ CLI_PINS = {
         "bb5e8e669c88a80c5d05a14342db00197eb429a24d9957146ad6e2efbae27c10", 0),
     "steenrod --what p1 --json": (
         "22cd4137a57f537d721f64ae68d395ec38a6449213fdba32595a239e47648178", 0),
+}
+
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of ""
+
+USAGE_PINS = {
+    # argv: (sha256 of stdout, sha256 of stderr, exit status)
+    "-h": (
+        "980a565850e2278922647c8821fbebac9a5a0094c87ce2a25a29dfd4f98966f0",
+        EMPTY, 0),
+    "verify-table -h": (
+        "94ec481914db3313694eb650bb4e45d1d16be301dd7b8bf8b1dc18783065a55a",
+        EMPTY, 0),
+    "eval -h": (
+        "84a563ac1f24e685bdd38d0d0b912283794358b5d40337039b4288ba73da76d4",
+        EMPTY, 0),
+    "trace -h": (
+        "592491f22c724e3fa52b0b147b8e40b3597962daa6aac65131916e5e50a5ce76",
+        EMPTY, 0),
+    "check-cancel -h": (
+        "3722a7f60fbf1b9e6e01d393184cd23287b617afe976692cf754f6d1b9778dda",
+        EMPTY, 0),
+    "steenrod -h": (
+        "ce7074baa8244e89e777469cd6f3312f0b3ef64efdc47400f617530c4cc812d9",
+        EMPTY, 0),
+    "search -h": (
+        "32b824bb01efc81cb500f2f3ec557ca2f9dbb06d81b31e4159f6c1d307ca04bf",
+        EMPTY, 0),
+    "selftest -h": (
+        "a75c033de8cf61b607ff992eed611f99c45f66aef7e76dc9b77d425f4ddcea7f",
+        EMPTY, 0),
+    # --action is required, so the subcommand's own usage error.
+    "eval --bogus": (EMPTY,
+        "737833c2fa549b91b67a0374948d60725f29ecccc63a65e03719a609e150f727", 2),
+    "eval --action cube3 --bogus": (EMPTY,
+        "1eba528aaffa22c48ba371350e52806364041bcf110809e93d461330ba26c4b0", 2),
+    "nope": (EMPTY,
+        "8ff2ed1f9ee040494e6c0df1ce66f73f97fdfca4170702e89139118164af411e", 2),
 }
 
 REGISTRY_PINS = {
@@ -101,6 +140,15 @@ def registry_record(name: str) -> tuple:
 def test_cli_stdout_is_pinned(argv, capsys, monkeypatch, tmp_path):
     code, out = run_cli(argv, capsys, monkeypatch, tmp_path)
     assert (sha256(out), code) == CLI_PINS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(USAGE_PINS))
+def test_usage_text_is_pinned(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out, err = capsys.readouterr()
+    assert (sha256(out), sha256(err), exc.value.code) == USAGE_PINS[argv]
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY_PINS))
