@@ -44,6 +44,7 @@ It trades memory for that: fully reduced pivot rows fill in.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Hashable, Iterable, Mapping
 
 
@@ -437,8 +438,10 @@ class UnitReducer:
 def smith_invariant_factors(matrix) -> list[int]:
     """Nonzero diagonal of the Smith normal form, divisibility-ordered.
 
-    Dense, exact, and cubic -- meant for small matrices and as an
-    oracle for the sparse path.
+    Dense, exact and cubic, meant for small matrices.  Pivots of least
+    absolute value diagonalize the matrix, and each diagonal pair is
+    then exchanged for its (gcd, lcm), as diag(a, b) ~ diag(gcd, lcm)
+    (Newman, *Integral Matrices*, 1972, ch. II).
 
     >>> smith_invariant_factors([[2, 0], [0, 3]])
     [1, 6]
@@ -448,68 +451,45 @@ def smith_invariant_factors(matrix) -> list[int]:
     a = [list(map(int, row)) for row in matrix]
     if not a or not a[0]:
         return []
-    nrows, ncols = len(a), len(a[0])
-    if any(len(row) != ncols for row in a):
+    if any(len(row) != len(a[0]) for row in a):
         raise ValueError("ragged matrix")
-    factors = []
-    top = 0
-    while True:
-        pivot = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if a[i][j] and (pivot is None
-                                or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    diag = []
+    while a and a[0]:
+        least = 0
+        for r, row in enumerate(a):
+            for c, v in enumerate(row):
+                if v and (not least or -least < v < least):
+                    least, i, j = abs(v), r, c
+        if not least:
             break
-        i, j = pivot
-        a[top], a[i] = a[i], a[top]
-        for row in a:
-            row[top], row[j] = row[j], row[top]
-        # Reduce the cross through the pivot until it divides everything
-        # it meets; each pass strictly shrinks |pivot|, so this halts.
+        # Clear the pivot's column with its row and its row with its
+        # column; a nonzero remainder is smaller, so it is the next pivot.
         while True:
-            p = a[top][top]
-            dirty = False
-            for i in range(top + 1, nrows):
-                if a[i][top]:
-                    q = a[i][top] // p
-                    for j in range(top, ncols):
-                        a[i][j] -= q * a[top][j]
-                    if a[i][top]:
-                        a[top], a[i] = a[i], a[top]
-                        dirty = True
+            pivot = a[i]
+            for r, row in enumerate(a):
+                if row[j] and r != i:
+                    q = row[j] // pivot[j]
+                    row[:] = [x - q * y for x, y in zip(row, pivot)]
+                    if row[j]:
+                        i = r
                         break
-            if dirty:
-                continue
-            for j in range(top + 1, ncols):
-                if a[top][j]:
-                    q = a[top][j] // p
-                    for row in a:
-                        row[j] -= q * row[top]
-                    if a[top][j]:
-                        for row in a:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # Cross is clear; enforce divisibility against the rest.
-            offender = None
-            for i in range(top + 1, nrows):
-                for j in range(top + 1, ncols):
-                    if a[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
+            else:
+                # The column is clear, so a column operation changes
+                # only the pivot row: each entry becomes its remainder.
+                for c, v in enumerate(pivot):
+                    if v and c != j:
+                        pivot[c] = v % pivot[j]
+                        if pivot[c]:
+                            j = c
+                            break
+                else:
                     break
-            if offender is None:
-                break
-            for j in range(top, ncols):
-                a[top][j] += a[offender][j]
-        factors.append(abs(a[top][top]))
-        top += 1
-        if top >= nrows or top >= ncols:
-            break
-    return factors
-
+        diag.append(abs(a[i][j]))
+        del a[i]
+        for row in a:
+            del row[j]
+    for i in range(len(diag)):
+        for k in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[k])
+            diag[i], diag[k] = g, diag[i] * diag[k] // g
+    return diag

@@ -466,12 +466,12 @@ def lift_halved_expression(residual: SparseIntMatrix,
     and rebuild a process word from the halved expression (None when
     no row qualifies).  Rows are tried cheapest first: least sum of
     |coefficient|, then least row id."""
+    rows = residual.rows
     even = sorted((sum(map(abs, row.values())), rid)
-                  for rid, row in residual.rows.items()
+                  for rid, row in rows.items()
                   if all(v % 2 == 0 for v in row.values()))
     for _, rid in even:
-        halved = {model.terms[col]: v // 2
-                  for col, v in residual.rows[rid].items()}
+        halved = {model.terms[col]: v // 2 for col, v in rows[rid].items()}
         try:
             return reconstruct_process(halved, model)
         except ReconstructError:
@@ -567,6 +567,11 @@ def legality_search(model: ExcitationModel, attempts: int,
         try:
             saved = json.loads(path.read_text())
             done, successes = saved["done"], saved["successes"]
+            if type(done) is not int or done < 0:
+                raise ValueError(f"'done' is {done!r}, not a trial count")
+            if type(successes) is not list:
+                raise ValueError(f"'successes' is a {type(successes).__name__},"
+                                 " not a list")
             rng.setstate((saved["rng"][0], tuple(saved["rng"][1]),
                           saved["rng"][2]))
             saved_scan = saved.get("scan", scan)

@@ -496,6 +496,25 @@ class TestSearch:
         assert "checkpoint" in err and str(ck) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("done", "3"), ("done", [1]), ("done", 1.5), ("done", True),
+        ("done", -1), ("successes", {}),
+    ], ids=["done-str", "done-list", "done-float", "done-bool",
+            "done-negative", "successes-dict"])
+    def test_malformed_checkpoint_is_bad_input(self, capsys, tmp_path,
+                                               field, value):
+        ck = tmp_path / "scan.json"
+        argv = ("search", "--G", "Z2", "--p", "0", "--d", "2",
+                "--stretch-membrane", "--checkpoint", str(ck))
+        run(capsys, *argv, "--attempts", "2")
+        doc = json.loads(ck.read_text())
+        doc[field] = value
+        ck.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, "--attempts", "12")
+        assert code == 2 and not out
+        assert "unreadable checkpoint" in err and repr(field) in err
+        assert "Traceback" not in err
+
     def test_unwritable_checkpoint_is_bad_input(self, capsys, tmp_path,
                                                 monkeypatch):
         def unreachable(*args):

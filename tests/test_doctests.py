@@ -4,12 +4,13 @@ import doctest
 
 import pytest
 
-from chainphase import actions, fileio, intmat, operad, search, simplicial
+from chainphase import (actions, boundary, fileio, intmat, operad, search,
+                        simplicial)
 
 
 @pytest.mark.parametrize("module",
-                         [actions, fileio, intmat, operad, search,
-                          simplicial],
+                         [actions, boundary, fileio, intmat, operad,
+                          search, simplicial],
                          ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)

@@ -149,6 +149,11 @@ class TestSmith:
         assert smith_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
         assert smith_invariant_factors([[4, 0], [0, 0]]) == [4]
         assert smith_invariant_factors([[6, 0], [0, 4]]) == [2, 12]
+        # Normalizing needs exchanges between non-adjacent entries.
+        assert smith_invariant_factors(
+            [[6, 0, 0], [0, 4, 0], [0, 0, 10]]) == [2, 2, 60]
+        assert smith_invariant_factors(
+            [[4, 0, 0], [0, 6, 0], [0, 0, 9]]) == [1, 6, 36]
 
     def test_empty_and_zero(self):
         assert smith_invariant_factors([]) == []
@@ -179,6 +184,16 @@ class TestSmith:
             n = rng.randint(1, 12)
             m = rng.randint(1, 12)
             rows = [[rng.randint(-20, 20) if rng.random() < 0.5 else 0
+                     for _ in range(m)] for _ in range(n)]
+            assert smith_invariant_factors(rows) == sympy_factors(rows), rows
+
+    def test_random_tall_against_sympy(self):
+        # The shape of a character block: many rows, at most 15 columns.
+        rng = random.Random(23)
+        for _ in range(30):
+            n = rng.randint(16, 40)
+            m = rng.randint(1, 15)
+            rows = [[rng.randint(-6, 6) if rng.random() < 0.3 else 0
                      for _ in range(m)] for _ in range(n)]
             assert smith_invariant_factors(rows) == sympy_factors(rows), rows
 
