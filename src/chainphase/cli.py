@@ -8,7 +8,9 @@ reduced fractions, never floats.
 
 Exit codes: 0 success; 1 a verification or comparison failed; 2 bad
 input (unknown action, malformed file, inconsistent parameters,
-unwritable output path).
+unwritable output path).  Bad input is any ``ValueError``: the library
+raises it for invalid arguments and the CLI for its own checks, and
+``main`` alone turns it into ``error: <message>`` on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .intmat import smith_invariant_factors
 from .operad import d_terms, p1_terms, psi
 from .simplicial import Cochain, Phase, StandardComplex
 
-BAD_INPUT = 2
-
 TABLE_ROWS = {
     1: ("cube3", (2, 3, 5), lambda N: Phase(1, N)),
     2: ("pontryagin9", (3,), lambda N: Phase(1, 9)),
@@ -44,18 +44,17 @@ PHASE_STATS_HELP = ("write the hops, hop geometries built and the action "
                     "set-up and evaluate seconds to stderr")
 
 
-class InputError(Exception):
-    """Bad user input; maps to exit code 2."""
-
-
 def _phase_obj(phase: Phase) -> dict:
     return {"num": phase.num, "den": phase.den}
 
 
-def _emit(payload: dict, as_json: bool, lines) -> None:
+def _emit(seed: int, payload: dict, as_json: bool, lines) -> None:
+    """Write a report headed by the seed it used."""
     if as_json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(json.dumps({"seed": seed, **payload}, sort_keys=True,
+                         separators=(",", ":")))
     else:
+        print(f"seed: {seed}")
         for line in lines:
             print(line)
 
@@ -68,7 +67,7 @@ def _resolve_seed(flag: int | None) -> int:
         try:
             return int(env)
         except ValueError:
-            raise InputError(f"CHAINPHASE_SEED must be an integer, "
+            raise ValueError(f"CHAINPHASE_SEED must be an integer, "
                              f"got {env!r}")
     return 0
 
@@ -81,9 +80,9 @@ def _load_word(name_or_path: str):
     try:
         return fileio.load_process(name_or_path)
     except OSError as exc:
-        raise InputError(f"cannot read process {name_or_path!r}: {exc}")
+        raise ValueError(f"cannot read process {name_or_path!r}: {exc}")
     except ValueError as exc:
-        raise InputError(f"malformed process file {name_or_path!r}: {exc}")
+        raise ValueError(f"malformed process file {name_or_path!r}: {exc}")
 
 
 def _load_initial(path, load):
@@ -93,7 +92,7 @@ def _load_initial(path, load):
     try:
         return load(path)
     except (OSError, ValueError, KeyError) as exc:
-        raise InputError(f"bad initial state file: {exc}")
+        raise ValueError(f"bad initial state file: {exc}")
 
 
 def _get_action(name: str, N, stats: list) -> ActionFunctional:
@@ -103,9 +102,7 @@ def _get_action(name: str, N, stats: list) -> ActionFunctional:
     try:
         action = get_action(name, N)
     except KeyError as exc:
-        raise InputError(exc.args[0])
-    except ValueError as exc:
-        raise InputError(str(exc))
+        raise ValueError(exc.args[0])
     stats.append({"action": f"{name} N={action.modulus}",
                   "setup_s": time.perf_counter() - start})
     return action
@@ -136,9 +133,9 @@ def cmd_verify_table(args, seed: int) -> int:
     except ValueError:
         rows = None
     if rows is None or any(r not in TABLE_ROWS for r in rows):
-        raise InputError(f"rows must be a subset of 1-5, got {args.rows!r}")
-    report = {"seed": seed, "rows": [], "undetected": [], "ok": True}
-    lines = [f"seed: {seed}"]
+        raise ValueError(f"rows must be a subset of 1-5, got {args.rows!r}")
+    report = {"rows": [], "undetected": [], "ok": True}
+    lines = []
     stats, built = [], hop_geometries_built()
     for r in rows:
         name, ns, expect = TABLE_ROWS[r]
@@ -165,7 +162,7 @@ def cmd_verify_table(args, seed: int) -> int:
             })
             lines.append(f"{name} N={N}: measured {got} "
                          f"({'detected' if got else 'not detected'})")
-    _emit(report, args.json, lines)
+    _emit(seed, report, args.json, lines)
     if args.stats:
         _write_phase_stats(stats, hop_geometries_built() - built)
     return 0 if report["ok"] else 1
@@ -176,19 +173,14 @@ def cmd_eval(args, seed: int) -> int:
     action = _get_action(args.action, args.N, stats)
     word = _load_word(args.process)
     initial = _load_initial(args.initial, fileio.load_cochain)
-    try:
-        phase = process.evaluate(word, action, initial=initial,
-                                 stats=stats[-1])
-    except ValueError as exc:
-        raise InputError(str(exc))
+    phase = process.evaluate(word, action, initial=initial, stats=stats[-1])
     cancel = process.check_cancellation(word)
     payload = {
-        "seed": seed, "action": action.name, "N": action.modulus,
+        "action": action.name, "N": action.modulus,
         "D": action.spacetime, "steps": len(word),
         "phase": _phase_obj(phase), "cancellation_ok": cancel.ok,
     }
-    _emit(payload, args.json, [
-        f"seed: {seed}",
+    _emit(seed, payload, args.json, [
         f"action: {action.name} (N={action.modulus}, D={action.spacetime})",
         f"steps: {len(word)}",
         f"phase: {phase}",
@@ -202,28 +194,25 @@ def cmd_eval(args, seed: int) -> int:
 def cmd_trace(args, seed: int) -> int:
     word = _load_word(args.process)
     initial = _load_initial(args.initial, fileio.load_chain)
-    try:
-        states = process.trace(word, initial)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    states = process.trace(word, initial)
     problems = []
     if args.diff_golden:
         path = None if args.diff_golden == "builtin" else args.diff_golden
         try:
             golden = fileio.load_golden_trace(path)
         except OSError as exc:
-            raise InputError(f"cannot read golden file: {exc}")
+            raise ValueError(f"cannot read golden file: {exc}")
         except ValueError as exc:
-            raise InputError(f"malformed golden file: {exc}")
+            raise ValueError(f"malformed golden file: {exc}")
         problems = process.golden_trace_diff(word, golden, initial=initial)
     payload = {
-        "seed": seed, "steps": len(word),
+        "steps": len(word),
         "states": [sorted(("".join(map(str, t)), c) for t, c in st.items())
                    for st in states],
         "golden_diff": problems,
         "ok": not problems,
     }
-    lines = [f"seed: {seed}"]
+    lines = []
     for i, st in enumerate(states):
         body = " ".join(f"{c:+d}*{''.join(map(str, t))}"
                         for t, c in sorted(st.items())) or "0"
@@ -231,7 +220,7 @@ def cmd_trace(args, seed: int) -> int:
     lines.extend(problems)
     if args.diff_golden and not problems:
         lines.append("golden trace: exact match")
-    _emit(payload, args.json, lines)
+    _emit(seed, payload, args.json, lines)
     return 0 if not problems else 1
 
 
@@ -239,27 +228,25 @@ def _parse_modulus(text: str, noun: str) -> int:
     """0 for Z, n for Z<n> with n >= 2; `noun` names the option."""
     if text == "Z":
         return 0
-    if text.startswith("Z") and text[1:].isdigit() and int(text[1:]) >= 2:
-        return int(text[1:])
-    raise InputError(f"{noun} must be Z or Z<n>, got {text!r}")
+    digits = text[1:]
+    if (text.startswith("Z") and digits.isascii() and digits.isdigit()
+            and int(digits) >= 2):
+        return int(digits)
+    raise ValueError(f"{noun} must be Z or Z<n>, got {text!r}")
 
 
 def cmd_check_cancel(args, seed: int) -> int:
     word = _load_word(args.process)
     modulus = _parse_modulus(args.coeff, "coefficients")
-    try:
-        report = process.check_cancellation(word, modulus=modulus)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    report = process.check_cancellation(word, modulus=modulus)
     payload = {
-        "seed": seed, "coeff": args.coeff, "steps": len(word),
+        "coeff": args.coeff, "steps": len(word),
         "ok": report.ok,
         "violations": [{"vertex": v, "cell": "".join(map(str, cell)),
                         "count": len(bad)}
                        for (v, cell), bad in sorted(report.residues.items())],
     }
-    _emit(payload, args.json, [
-        f"seed: {seed}",
+    _emit(seed, payload, args.json, [
         f"cancellation over {args.coeff}: "
         f"{'pass' if report.ok else 'FAIL'}",
     ] + [f"residue at vertex {v}, cell {''.join(map(str, cell))}"
@@ -268,75 +255,59 @@ def cmd_check_cancel(args, seed: int) -> int:
 
 
 def cmd_steenrod(args, seed: int) -> int:
-    try:
-        payload, lines = _steenrod_listing(args.what, args.n, args.q)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    _emit({"seed": seed, **payload}, args.json,
-          [f"seed: {seed}"] + lines)
-    return 0
-
-
-def _steenrod_listing(what: str, n: int, q: int):
-    if what == "psi3":
+    n, q = args.n, args.q
+    if args.what == "psi3":
         table = psi(3, n)
         items = ["".join(map(str, w)) for w, c in sorted(table.items())
                  for _ in range(c)]
-        return ({"what": "psi3", "n": n, "count": len(table),
-                 "words": items},
-                [f"psi(3)(e_{n}): {len(table)} words", " ".join(items)])
-    if what == "d3":
+        payload = {"what": "psi3", "n": n, "count": len(table),
+                   "words": items}
+        lines = [f"psi(3)(e_{n}): {len(table)} words", " ".join(items)]
+    elif args.what == "d3":
         terms = d_terms(3, n, q)
-        return ({"what": "d3", "i": n, "q": q, "count": len(terms)},
-                [f"D^3_{n} on degree-{q} cochains: {len(terms)} terms"])
-    terms = p1_terms(q)
-    return ({"what": "p1", "q": q, "count": len(terms)},
-            [f"P^1 on degree-{q} cochains: {len(terms)} terms"])
+        payload = {"what": "d3", "i": n, "q": q, "count": len(terms)}
+        lines = [f"D^3_{n} on degree-{q} cochains: {len(terms)} terms"]
+    else:
+        terms = p1_terms(q)
+        payload = {"what": "p1", "q": q, "count": len(terms)}
+        lines = [f"P^1 on degree-{q} cochains: {len(terms)} terms"]
+    _emit(seed, payload, args.json, lines)
+    return 0
 
 
 def cmd_search(args, seed: int) -> int:
     for flag, value in (("--emit-process", args.emit_process),
                         ("--stats", args.stats)):
         if value and args.stretch_membrane:
-            raise InputError(f"{flag} does not apply with "
+            raise ValueError(f"{flag} does not apply with "
                              f"--stretch-membrane")
     for flag, value in (("--attempts", args.attempts),
                         ("--checkpoint", args.checkpoint)):
         if value is not None and not args.stretch_membrane:
-            raise InputError(f"{flag} applies only with --stretch-membrane")
+            raise ValueError(f"{flag} applies only with --stretch-membrane")
     modulus = _parse_modulus(args.G, "fusion group")
-    try:
-        model = search.build_model(modulus, args.p, args.d)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    model = search.build_model(modulus, args.p, args.d)
     if args.stretch_membrane:
         try:
             result = search.legality_search(
                 model, checkpoint=args.checkpoint, seed=seed,
                 attempts=1 if args.attempts is None else args.attempts,
                 max_depth=args.depth)
-        except ValueError as exc:
-            raise InputError(str(exc))
         except OSError as exc:
-            raise InputError(f"cannot write checkpoint "
+            raise ValueError(f"cannot write checkpoint "
                              f"{args.checkpoint!r}: {exc}")
-        payload = {"seed": seed, "mode": "legality",
-                   "attempts": result["attempts"],
+        payload = {"mode": "legality", "attempts": result["attempts"],
                    "successes": result["successes"]}
-        _emit(payload, args.json, [
-            f"seed: {seed}",
+        _emit(seed, payload, args.json, [
             f"legality trials: {result['attempts']}, "
             f"successes: {len(result['successes'])}",
         ])
         return 0
     stats = {}
-    try:
-        factors, residual, log = search.classify(model, args.depth, stats)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    factors, residual, log = search.classify(model, args.depth, stats)
     free_rank = len(model.terms) - stats["rank"]
     payload = {
-        "seed": seed, "G": args.G, "p": args.p, "d": args.d,
+        "G": args.G, "p": args.p, "d": args.d,
         "generators": len(model.generators),
         "configurations": len(model.configurations),
         "invariant_factors": factors,
@@ -344,7 +315,6 @@ def cmd_search(args, seed: int) -> int:
         "residual_shape": list(residual.shape),
     }
     lines = [
-        f"seed: {seed}",
         f"model: {model!r}",
         f"invariant factors: {factors or '[]'}",
         f"free rank: {free_rank}",
@@ -379,7 +349,7 @@ def cmd_search(args, seed: int) -> int:
                 with open(args.emit_process, "w") as fh:
                     fh.write(text)
             except OSError as exc:
-                raise InputError(f"cannot write process "
+                raise ValueError(f"cannot write process "
                                  f"{args.emit_process!r}: {exc}")
             lines.append(f"process written to {args.emit_process} "
                          f"({len(word)} steps)")
@@ -387,7 +357,7 @@ def cmd_search(args, seed: int) -> int:
         else:
             lines.append("no halvable residual expression found")
             payload["process_steps"] = None
-    _emit(payload, args.json, lines)
+    _emit(seed, payload, args.json, lines)
     return 0
 
 
@@ -545,9 +515,9 @@ def main(argv=None) -> int:
     args = _parser(command).parse_args(argv)
     try:
         return args.fn(args, _resolve_seed(args.seed))
-    except InputError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
+        return 2
 
 
 if __name__ == "__main__":

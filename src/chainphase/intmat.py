@@ -7,9 +7,8 @@ drops both the row and the column; this splits off a trivial cyclic
 factor each time, so the invariant factors greater than one of the
 cokernel are preserved.  Each pivot lists its row's items once and
 clears every other row of its column with them in one loop.  The
-dense Smith routine is the brute-force oracle used on small residuals
-(a ``UnitReducer``'s holds each row once up to sign) and in randomized
-cross-checks.
+dense Smith routine reads the invariant factors off ``classify``'s
+residual (a ``UnitReducer``'s, which holds each row once up to sign).
 
 Pivots follow the Markowitz rule (Markowitz 1957): a +-1 entry costs
 (length of its row - 1) * (nonzeros in its column - 1), a bound on the
@@ -28,9 +27,10 @@ cost is already no better than the best so far (it cannot win
 outright, and ties go to the earlier column); any other column it
 scans for its exact least length, which it stores back as the bound.
 A pivot drops its own column once, since every row loses its entry
-there.  Per-column sets of unit rows would spare the scan, but on the
-identity matrices nearly every entry is a unit, so they would double
-the column index in memory.
+there.  Per-column sets of unit rows would spare the scan, but every
+entry that becomes or stops being a unit would have to update them;
+on the legality scan, batch elimination's one use outside the tests,
+that costs more than the scans it saves.
 
 ``UnitReducer`` is the streaming counterpart: rows arrive one at a
 time and are reduced against fully reduced unit pivot rows, so a row

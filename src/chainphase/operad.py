@@ -267,8 +267,7 @@ def d_terms(r: int, i: int, q: int):
     """
     _check_prime(r)
     out = []
-    for u in sorted(psi(r, i)):
-        coeff = psi(r, i)[u]
+    for u, coeff in sorted(psi(r, i).items()):
         for sign, slots in phi_terms(u, (q,) * r):
             out.append((coeff * sign, slots))
     return out

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import chainphase
-from chainphase import boundary, cli, search
+from chainphase import boundary, cli, process, search
 from chainphase.cli import main
 from chainphase.fileio import data_text
 from chainphase.simplicial import Phase
@@ -656,3 +656,33 @@ class TestSelftest:
         assert code == 0
         assert "FAIL" not in out
         assert "9/9 checks passed" in out
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ("search", "--G", "Z²", "--p", "0", "--d", "2"),
+        ("search", "--G", "Z٣", "--p", "0", "--d", "2"),
+        ("check-cancel", "--coeff", "Z٣"),
+    ], ids=["search-superscript", "search-arabic-indic", "check-cancel"])
+    def test_non_ascii_modulus_digits_are_bad_input(self, capsys, argv):
+        # str.isdigit holds for superscript and Arabic-Indic digits.
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert "must be Z or Z<n>" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("module, name, argv", [
+        (process, "evaluate", ("verify-table", "--rows", "1")),
+        (search, "lift_halved_expression",
+         ("search", "--G", "Z2", "--p", "0", "--d", "2",
+          "--emit-process", "word.txt")),
+    ], ids=["evaluate", "lift"])
+    def test_any_value_error_exits_2(self, capsys, monkeypatch, tmp_path,
+                                     module, name, argv):
+        # main alone maps a library ValueError to bad input; no
+        # command wraps these two calls.
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(module, name, boom)
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv) == (2, "", "error: boom\n")

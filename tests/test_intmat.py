@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Matrix
+from sympy import Matrix, factorint
 from sympy.matrices.normalforms import smith_normal_form
 
 from chainphase.intmat import (SparseIntMatrix, UnitReducer, fingerprint,
@@ -144,6 +144,52 @@ small_matrix = st.lists(
 ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 
 
+def diagonal_factors(diag):
+    """Invariant factors of a diagonal matrix, prime by prime: the k-th
+    least exponent of each prime over the nonzero entries goes to the
+    k-th factor."""
+    diag = [d for d in diag if d]
+    out = [1] * len(diag)
+    for p in {p for d in diag for p in factorint(d)}:
+        for k, e in enumerate(sorted(factorint(d).get(p, 0) for d in diag)):
+            out[k] *= p ** e
+    return out
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+@st.composite
+def unimodular(draw, n):
+    """A random product of elementary row operations on n rows: negate
+    a row, or add a small multiple of one row to another."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            c = draw(st.integers(-3, 3))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+@st.composite
+def disguised_diagonal(draw):
+    """(diagonal, U·D·V): D an n × m matrix whose diagonal holds factors
+    that share primes, in random order, U and V unimodular."""
+    diag = draw(st.lists(st.sampled_from((0, 2, 3, 4, 6, 9, 10, 12, 15, 25)),
+                         min_size=2, max_size=5))
+    n = len(diag) + draw(st.integers(0, 2))
+    m = len(diag) + draw(st.integers(0, 2))
+    d = [[diag[i] if i == j and i < len(diag) else 0 for j in range(m)]
+         for i in range(n)]
+    return diag, matmul(matmul(draw(unimodular(n)), d),
+                        draw(unimodular(m)))
+
+
 class TestSmith:
     def test_diagonal_pairs(self):
         assert smith_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
@@ -177,6 +223,14 @@ class TestSmith:
     @given(small_matrix)
     def test_matches_sympy(self, rows):
         assert smith_invariant_factors(rows) == sympy_factors(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(disguised_diagonal())
+    def test_disguised_diagonal(self, case):
+        # Factors sharing primes, in any order, need the gcd/lcm
+        # exchange between every diagonal pair, adjacent or not.
+        diag, rows = case
+        assert smith_invariant_factors(rows) == diagonal_factors(diag)
 
     def test_random_against_sympy_up_to_12(self):
         rng = random.Random(11)
