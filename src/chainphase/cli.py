@@ -129,7 +129,7 @@ def _write_phase_stats(rows, geometries: int) -> None:
 def cmd_verify_table(args, seed: int) -> int:
     try:
         rows = sorted({int(r) for r in args.rows.split(",")}) \
-            if args.rows else sorted(TABLE_ROWS)
+            if args.rows is not None else sorted(TABLE_ROWS)
     except ValueError:
         rows = None
     if rows is None or any(r not in TABLE_ROWS for r in rows):
@@ -152,7 +152,7 @@ def cmd_verify_table(args, seed: int) -> int:
             report["ok"] = report["ok"] and ok
             lines.append(f"row {r} {name} N={N}: expected {want} "
                          f"measured {got} {'ok' if ok else 'MISMATCH'}")
-    if not args.rows:
+    if args.rows is None:
         for name, N in UNDETECTED_ROWS:
             action = _get_action(name, N, stats)
             got = process.evaluate(process.MU56, action, stats=stats[-1])

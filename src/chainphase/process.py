@@ -164,9 +164,10 @@ def evaluate(steps, action: ActionFunctional,
     representatives mod N after every hop when the initial state
     carries modulus N (an integer-valued initial state is propagated
     without reduction).  The word must return b to its initial value;
-    this is what justifies accumulating only the hop phases.  A
-    ``stats`` dict gets the hops evaluated (``hops``) and the seconds
-    taken (``evaluate_s``).
+    this is what justifies accumulating only the hop phases.  A value
+    of the initial state on a simplex outside the (D-1)-simplex the
+    action hops in raises ValueError.  A ``stats`` dict gets the hops
+    evaluated (``hops``) and the seconds taken (``evaluate_s``).
     """
     start = time.perf_counter()
     steps = check_steps(steps)
@@ -178,6 +179,10 @@ def evaluate(steps, action: ActionFunctional,
     if initial.degree != action.degree - 1:
         raise ValueError(
             f"initial configuration must have degree {action.degree - 1}")
+    outside = next((t for t, _ in initial.items() if t[-1] > k), None)
+    if outside is not None:
+        raise ValueError(f"initial configuration has a value on {outside}, "
+                         f"outside the {k}-simplex")
     if not is_closed(steps):
         raise ValueError("process word does not return to its start")
 

@@ -10,14 +10,17 @@ generators with empty common vertex support expand to expressions that
 every realization maps to zero, and the torsion of E modulo those
 identities classifies the nontrivial statistical processes.
 Configurations are numbered by their base-N digits on the p-cells that
-miss vertex 0 (see ``build_model``), so steps, translations and the
-bridges of ``reconstruct_process`` are digit arithmetic, not searches.
-``classify`` streams each identity word's translation orbit through an
-incremental unit-pivot reducer and builds no identity matrix; the
-legality scan eliminates the whole ``identity_matrix`` in batch.
+miss vertex 0 (see ``build_model``), so steps and the bridges of
+``reconstruct_process`` are digit arithmetic, not searches, and a
+word's row at any configuration is the word walked from there.
+``classify`` streams each identity word's rows, one configuration at a
+time, through an incremental unit-pivot reducer and builds no identity
+matrix; the legality scan eliminates the whole ``identity_matrix`` in
+batch.
 
-The membrane-scale run (d=4 with sign-function legality lifting) is a
-resumable batch job, far beyond test budgets; see ``legality_search``.
+The membrane-scale legality scan (d=4 with sign-function legality
+lifting) is a resumable batch job, beyond test budgets; see
+``legality_search``.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ import os
 import random
 import time
 from collections import Counter
-from functools import partial
-from itertools import chain, combinations
+from itertools import combinations
 from pathlib import Path
 
 from .intmat import (SparseIntMatrix, UnitReducer, fingerprint,
@@ -246,30 +248,22 @@ def identity_words(model: ExcitationModel, max_depth: int = 3):
     return words
 
 
-def _translate(terms, tables, a: int) -> dict:
-    """A word's row at configuration a, from its vacuum row as ``terms``:
-    (s's first term number, configuration number, coefficient)."""
-    table = tables[a]
-    return {g + table[b]: v for g, b, v in terms}
-
-
 def _orbits(model: ExcitationModel, max_depth: int):
-    """Each identity word's translation orbit, word by word: its row at
-    the vacuum and a function a -> its row at configuration a.  Words
-    with an empty expansion are left out.
+    """Each identity word, numbered, with its row at the vacuum; words
+    with an empty expansion are left out.  The word's row at
+    configuration a is the word walked from a (``_expand_numbered``).
 
     A step moves a configuration by a fixed boundary, so a word's
     expansion at a is its expansion at the vacuum translated by a,
-    term by term and in the same order: each word is walked once, and
-    its other rows are only translated when asked for.
+    term by term and in the same order; walking from a reads that
+    translate off the step tables, which hold only |S| rows of |A|
+    numbers per sign.
     """
-    size = len(model.configurations)
-    tables = [_adder(a, model.modulus, size) for a in range(size)]
     for word in identity_words(model, max_depth):
-        expr = _expand_numbered(_numbered_word(word, model), 0, model)
+        word = _numbered_word(word, model)
+        expr = _expand_numbered(word, 0, model)
         if expr:
-            terms = [(k - k % size, k % size, v) for k, v in expr.items()]
-            yield expr, partial(_translate, terms, tables)
+            yield word, expr
 
 
 def gen_identities(model: ExcitationModel, max_depth: int = 3) -> list[dict]:
@@ -288,10 +282,11 @@ def gen_identities(model: ExcitationModel, max_depth: int = 3) -> list[dict]:
     size = len(model.configurations)
     out = []
     seen = set()
-    for expr, translate in _orbits(model, max_depth):
+    for word, expr in _orbits(model, max_depth):
         if fingerprint(expr) in seen:
             continue
-        for row in chain((expr,), map(translate, range(1, size))):
+        for a in range(size):
+            row = _expand_numbered(word, a, model) if a else expr
             key = fingerprint(row)
             if key not in seen:
                 seen.add(key)
@@ -315,19 +310,19 @@ def classify(model: ExcitationModel, max_depth: int = 3,
              stats: dict | None = None):
     """(torsion factors, residual, elimination log) for the model.
 
-    Each identity word's translation orbit streams through one
-    ``UnitReducer``; no identity matrix is built.  A word's rows go in
-    by configuration number, and a run of them is skipped when its
-    first row is already in the span: it reduces to zero or onto a
-    residual row the reducer holds, up to sign.  When a word starts,
-    each earlier word's whole orbit lies in the span, so the span is
-    closed under every translation.  Configurations below N^i form a
-    subgroup H, whose cosets are the runs of N^i numbers from a
-    multiple of N^i.  Once the word's rows below such a start a lie in
-    the span, it is closed under H as well; if the row at a lies in it
-    too, so does the whole coset a + H, which is skipped.  At a = 0, H
-    is the whole group: a word whose vacuum row is in the span is
-    skipped whole.
+    Each identity word's rows, the word walked from each configuration
+    in turn, stream through one ``UnitReducer``; no identity matrix is
+    built.  A word's rows go in by configuration number, and a run of
+    them is skipped when its first row is already in the span: it
+    reduces to zero or onto a residual row the reducer holds, up to
+    sign.  When a word starts, each earlier word's whole orbit lies in
+    the span, so the span is closed under every translation.
+    Configurations below N^i form a subgroup H, whose cosets are the
+    runs of N^i numbers from a multiple of N^i.  Once the word's rows
+    below such a start a lie in the span, it is closed under H as well;
+    if the row at a lies in it too, so does the whole coset a + H, which
+    is skipped.  At a = 0, H is the whole group: a word whose vacuum
+    row is in the span is skipped whole.
 
     The residual is a ``SparseIntMatrix`` of the reducer's residual
     rows, each distinct up to sign, and each log entry is (column,
@@ -339,8 +334,8 @@ def classify(model: ExcitationModel, max_depth: int = 3,
     (translates that reduced onto a held residual row), ``pivots``,
     ``residual_shape``, ``peak_nnz`` (the most nonzeros the reducer
     held), ``rank`` (pivots plus the residual's Smith rank), and the
-    seconds ``walk_s`` (word expansion and translation), ``reduce_s``
-    and ``smith_s``.
+    seconds ``walk_s`` (walking words from each configuration),
+    ``reduce_s`` and ``smith_s``.
     """
     clock = time.perf_counter
     size, modulus = len(model.configurations), model.modulus
@@ -348,11 +343,11 @@ def classify(model: ExcitationModel, max_depth: int = 3,
     words = skipped = translates = vanished = repeated = 0
     reduce_s = 0.0
     start = clock()
-    for expr, translate in _orbits(model, max_depth):
+    for word, expr in _orbits(model, max_depth):
         words += 1
         a = 0
         while a < size:
-            row = translate(a) if a else expr
+            row = _expand_numbered(word, a, model) if a else expr
             t = clock()
             kept = reducer.add(row)
             reduce_s += clock() - t
@@ -550,8 +545,11 @@ def legality_search(model: ExcitationModel, attempts: int,
     it writes none unless it is the last.  The table is not saved; a
     resumed run rebuilds it, replays the trials after the last write
     from the same RNG stream, and returns the same result and the same
-    checkpoint bytes.  This is the batch-scale mode: a full
-    membrane scan is a multi-hour job and is not part of any test tier.
+    checkpoint bytes.  This is the batch-scale mode and is not part of
+    any test tier: one trial on each of the 1024 sign functions of
+    (N, p, d) = (2, 1, 3) took 160 s at 38.6 MiB on a 2-vCPU VM, and
+    the (2, 2, 4) scan, over 2^20 sign functions on a 23040-row base,
+    has not been measured.
     """
     if model.modulus != 2:
         raise ValueError("legality lifting applies to the Z_2 model")

@@ -11,11 +11,12 @@ term tree by one ``groupby`` per node, the reference for
 Leibniz rule; ``shuffle_cup_k_terms`` derives the same term lists
 independently, by shuffle parity.
 ``per_configuration_identities`` expands every identity word at every
-configuration, the reference for the translated rows of
-``gen_identities``.  ``breadth_first_model`` finds the configurations
-and their moves by closure under Chain addition, the reference for the
-digit numbering of ``build_model``.  ``torsion`` reads the invariant
-factors > 1 off a residual, as ``classify`` does.
+configuration and deduplicates on its own sorted fingerprints, the
+reference for the rows of ``gen_identities``, which skips a word whose
+vacuum row repeats an earlier row.  ``breadth_first_model`` finds the
+configurations and their moves by closure under Chain addition, the
+reference for the digit numbering of ``build_model``.  ``torsion``
+reads the invariant factors > 1 off a residual, as ``classify`` does.
 ``random_bilinear_realization`` draws a local Pauli-style phase
 assignment and ``evaluate_expression`` reads an expression under it:
 the realizations every identity row must kill.

@@ -54,7 +54,7 @@ class TestVerifyTable:
         assert code == 2
         assert "rows" in err
 
-    @pytest.mark.parametrize("rows", ["x", ",1"])
+    @pytest.mark.parametrize("rows", ["x", ",1", ""])
     def test_malformed_rows_are_bad_input(self, capsys, rows):
         code, _, err = run(capsys, "verify-table", "--rows", rows)
         assert code == 2
@@ -686,3 +686,14 @@ class TestBadInput:
         monkeypatch.setattr(module, name, boom)
         monkeypatch.chdir(tmp_path)
         assert run(capsys, *argv) == (2, "", "error: boom\n")
+
+    def test_initial_outside_the_spacetime_simplex(self, capsys, tmp_path):
+        # cube3 hops in the 5-simplex; a value on (9, 10) used to be
+        # carried along unread, and a phase was printed.
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps({"degree": 1, "values": {"9,10": 1}}))
+        code, out, err = run(capsys, "eval", "--action", "cube3", "--N", "2",
+                             "--initial", str(f))
+        assert (code, out) == (2, "")
+        assert err == ("error: initial configuration has a value on "
+                       "(9, 10), outside the 5-simplex\n")

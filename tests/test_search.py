@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -314,6 +315,24 @@ class TestIdentityWords:
         want = per_configuration_identities(model, depth)
         assert [list(row.items()) for row in got] \
             == [list(row.items()) for row in want]
+
+    def test_membrane_rows_are_walked_in_little_memory(self):
+        # Every row of (2,2,4) at depth 3, each walked from its
+        # configuration and dropped: 45 words at 1024 configurations,
+        # with no table of |A|^2 = 2^20 translates held meanwhile.
+        model = build_model(2, 2, 4)
+        size = len(model.configurations)
+        tracemalloc.start()
+        try:
+            rows = 0
+            for word, _ in search._orbits(model, 3):
+                rows += sum(bool(search._expand_numbered(word, a, model))
+                            for a in range(size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 45 * size
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("shape", MODEL_SHAPES, ids=shape_id)
     def test_translation_tables_are_chain_addition(self, shape):
